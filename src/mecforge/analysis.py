@@ -26,40 +26,81 @@ def _nbits(sbox: SBox) -> int:
     return n
 
 
-def _walsh_spectrum_row(component: Sequence[int]) -> list[int]:
-    """In-place fast Walsh-Hadamard transform of a +-1 component function."""
-    w = list(component)
-    h = 1
-    while h < len(w):
-        for i in range(0, len(w), h * 2):
-            for j in range(i, i + h):
-                u, v = w[j], w[j + h]
-                w[j], w[j + h] = u + v, u - v
-        h *= 2
-    return w
+# The S-box metrics work on bit-sliced truth tables: a Boolean function on
+# n input bits is one 2^n-bit int whose bit x is its value at x, so XOR and
+# popcount act on all 2^n inputs at once.
+
+def _bit_planes(values: Sequence[int], n: int) -> list[int]:
+    """planes[i] has bit x set iff bit i of values[x] is set."""
+    rows = [format(v, f"0{n}b") for v in reversed(values)]
+    return [int("".join(column), 2) for column in reversed(list(zip(*rows)))]
 
 
-def _max_abs_walsh(sbox: SBox) -> int:
-    """max over non-zero output masks a and all input masks b of |W(a, b)|."""
-    _nbits(sbox)
-    size = sbox.m
-    best = 0
-    for a in range(1, size):
-        comp = [1 if bin(a & v).count("1") % 2 == 0 else -1 for v in sbox.table]
-        best = max(best, max(abs(w) for w in _walsh_spectrum_row(comp)))
-    return best
+def _combinations(planes: Sequence[int]) -> list[int]:
+    """Entry a is the XOR of planes[j] over the set bits j of a."""
+    out = [0]
+    for plane in planes:
+        out += [t ^ plane for t in out]
+    return out
+
+
+def _walsh_spectrum_row(component: int, linear: Sequence[int], size: int) -> int:
+    """max over input masks b of |W(a, b)| = |size - 2 wt(f_a ^ l_b)| for one
+    component function f_a, given the truth tables l_b of the linear functions."""
+    weights = [(component ^ lin).bit_count() for lin in linear]
+    return max(size - 2 * min(weights), 2 * max(weights) - size)
+
+
+def _max_abs_walsh(outputs: Sequence[int], inputs: Sequence[int]) -> int:
+    """max over non-zero output masks a and all input masks b of |W(a, b)|,
+    from the bit planes of the S-box and of the identity."""
+    size = 1 << len(inputs)
+    linear = _combinations(inputs)
+    return max(_walsh_spectrum_row(f, linear, size) for f in _combinations(outputs)[1:])
+
+
+def _derivative_planes(outputs: Sequence[int], inputs: Sequence[int]) -> list[list[int]]:
+    """D[j][i]: bit plane i of the derivative S(x ^ e_j) ^ S(x)."""
+    full = (1 << (1 << len(inputs))) - 1
+    table = []
+    for j, high in enumerate(inputs):
+        h, low = 1 << j, full ^ high
+        table.append([((t & high) >> h | (t & low) << h) ^ t for t in outputs])
+    return table
+
+
+def _sac(derivatives: list[list[int]]) -> list[list[Fraction]]:
+    n = len(derivatives)
+    return [[Fraction(derivatives[j][i].bit_count(), 1 << n) for j in range(n)]
+            for i in range(n)]
+
+
+def _bic(derivatives: list[list[int]]) -> list[list[Optional[Fraction]]]:
+    n = len(derivatives)
+    matrix: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for r in range(i + 1, n):
+            total = sum((d[i] ^ d[r]).bit_count() for d in derivatives)
+            matrix[i][r] = matrix[r][i] = Fraction(total, n << n)
+    return matrix
+
+
+def _planes(sbox: SBox) -> tuple[list[int], list[int]]:
+    """Bit planes of the S-box's outputs and of its inputs x."""
+    n = _nbits(sbox)
+    return _bit_planes(sbox.table, n), _bit_planes(range(sbox.m), n)
 
 
 def nonlinearity(sbox: SBox) -> int:
     """Minimum distance of any non-trivial component function to the affine functions."""
-    n = _nbits(sbox)
-    return (1 << (n - 1)) - _max_abs_walsh(sbox) // 2
+    outputs, inputs = _planes(sbox)
+    return (1 << (len(inputs) - 1)) - _max_abs_walsh(outputs, inputs) // 2
 
 
 def lap(sbox: SBox) -> Fraction:
     """Max bias of any linear approximation, over all input masks and non-zero output masks."""
-    n = _nbits(sbox)
-    return Fraction(_max_abs_walsh(sbox), 1 << (n + 1))
+    outputs, inputs = _planes(sbox)
+    return Fraction(_max_abs_walsh(outputs, inputs), 1 << (len(inputs) + 1))
 
 
 def dap(sbox: SBox) -> Fraction:
@@ -84,53 +125,30 @@ def algebraic_complexity(sbox: SBox, reduction_poly: int = gf256.DEFAULT_POLY) -
     return sum(1 for c in coeffs if c)
 
 
-def _bit(value: int, i: int) -> int:
-    return (value >> i) & 1
-
-
 def sac_matrix(sbox: SBox) -> list[list[Fraction]]:
     """entry[i][j]: probability that flipping input bit j flips output bit i."""
-    n = _nbits(sbox)
-    size = sbox.m
-    table = sbox.table
-    matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            flips = sum(_bit(table[x ^ (1 << j)] ^ table[x], i) for x in range(size))
-            row.append(Fraction(flips, size))
-        matrix.append(row)
-    return matrix
+    return _sac(_derivative_planes(*_planes(sbox)))
 
 
 def bic_matrix(sbox: SBox) -> list[list[Optional[Fraction]]]:
     """entry[i][r]: avalanche probability of output-bit pair (i, r), averaged
     over all single-bit input flips.  Diagonal entries are None.
     """
-    n = _nbits(sbox)
-    size = sbox.m
-    table = sbox.table
-    matrix: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for r in range(i + 1, n):
-            total = 0
-            for j in range(n):
-                for x in range(size):
-                    d = table[x ^ (1 << j)] ^ table[x]
-                    total += _bit(d, i) ^ _bit(d, r)
-            value = Fraction(total, n * size)
-            matrix[i][r] = matrix[r][i] = value
-    return matrix
+    return _bic(_derivative_planes(*_planes(sbox)))
+
+
+def _span(matrix) -> tuple[Fraction, Fraction]:
+    """Least and greatest entry, skipping the None diagonal of a BIC matrix."""
+    entries = [e for row in matrix for e in row if e is not None]
+    return min(entries), max(entries)
 
 
 def sac_range(sbox: SBox) -> tuple[Fraction, Fraction]:
-    entries = [e for row in sac_matrix(sbox) for e in row]
-    return min(entries), max(entries)
+    return _span(sac_matrix(sbox))
 
 
 def bic_range(sbox: SBox) -> tuple[Fraction, Fraction]:
-    entries = [e for row in bic_matrix(sbox) for e in row if e is not None]
-    return min(entries), max(entries)
+    return _span(bic_matrix(sbox))
 
 
 def fixed_points(sbox: SBox) -> int:
@@ -177,15 +195,22 @@ class AnalysisReport:
 
 
 def analyze_sbox(sbox: SBox) -> AnalysisReport:
-    """Full metric battery; AC is reported as None for sizes other than 256."""
-    sac_lo, sac_hi = sac_range(sbox)
-    bic_lo, bic_hi = bic_range(sbox)
-    ac = algebraic_complexity(sbox) if sbox.m == 256 else None
+    """Full metric battery; AC is reported as None for sizes other than 256.
+
+    The bit planes, the Walsh spectrum's maximum and the derivative table are
+    each built once and shared by the metrics that read them.
+    """
+    outputs, inputs = _planes(sbox)
+    n = len(inputs)
+    walsh = _max_abs_walsh(outputs, inputs)
+    derivatives = _derivative_planes(outputs, inputs)
+    sac_lo, sac_hi = _span(_sac(derivatives))
+    bic_lo, bic_hi = _span(_bic(derivatives))
     return AnalysisReport(
-        nl=nonlinearity(sbox),
-        lap=lap(sbox),
+        nl=(1 << (n - 1)) - walsh // 2,
+        lap=Fraction(walsh, 1 << (n + 1)),
         dap=dap(sbox),
-        ac=ac,
+        ac=algebraic_complexity(sbox) if sbox.m == 256 else None,
         sac_min=sac_lo,
         sac_max=sac_hi,
         bic_min=bic_lo,
@@ -225,8 +250,16 @@ def period(seq: SprnSequence | Sequence[int]) -> int:
     values = seq.values if isinstance(seq, SprnSequence) else tuple(seq)
     if not values:
         raise EmptySequence("period of an empty sequence")
-    n = len(values)
-    for h in range(1, n):
-        if all(values[i + h] == values[i] for i in range(n - h)):
-            return h
-    return n
+    # Knuth-Morris-Pratt prefix function: border[i] is the length of the
+    # longest proper prefix of values[:i + 1] that is also its suffix.  The
+    # least period of the whole window is its length minus its longest border.
+    border = [0] * len(values)
+    k = 0
+    for i in range(1, len(values)):
+        v = values[i]
+        while k and values[k] != v:
+            k = border[k - 1]
+        if values[k] == v:
+            k += 1
+        border[i] = k
+    return len(values) - border[-1]

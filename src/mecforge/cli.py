@@ -37,7 +37,7 @@ EXIT_UNSUPPORTED_METRIC = 4
 EXIT_RANGE_TOO_LARGE = 5
 
 
-class CliError(Exception):
+class CliError(MecforgeError):
     def __init__(self, message: str, code: int = EXIT_BAD_PARAMS):
         super().__init__(message)
         self.code = code
@@ -179,11 +179,22 @@ def merge_config(args: argparse.Namespace, config: dict) -> None:
             setattr(args, key, value)
 
 
+def int_flag(args, name: str, default: Optional[int] = None) -> Optional[int]:
+    """The integer value of flag --name, or `default` when it is not given."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise CliError(f"--{name.replace('_', '-')} expects an integer, got {value!r}") from None
+
+
 def require_modulus(args) -> PrimeModulus:
     if args.p is None:
         raise CliError("--p is required")
     try:
-        modulus = PrimeModulus(int(args.p))
+        modulus = PrimeModulus(int_flag(args, "p"))
     except NotPrime:
         raise CliError("p must be prime with p = 2 (mod 3)") from None
     if not modulus.mec_admissible:
@@ -198,14 +209,17 @@ def resolve_curve(args, modulus: PrimeModulus) -> tuple[MordellCurve, Optional[i
     if has_b == has_class:
         raise CliError("specify either --b, or --class together with --t")
     if has_b:
-        b = int(args.b)
+        b = int_flag(args, "b")
         if not 1 <= b <= modulus.p - 1:
             raise CliError(f"b must lie in [1, p-1], got {b}")
         return MordellCurve(modulus, b), None
     if args.curve_class is None or args.t is None:
         raise CliError("--class and --t must be given together")
-    cls = CurveClass.C1 if args.curve_class.lower() == "c1" else CurveClass.C2
-    t = int(args.t)
+    try:
+        cls = CurveClass(args.curve_class.upper())
+    except ValueError:
+        raise CliError(f"unknown curve class {args.curve_class!r}; expected c1 or c2") from None
+    t = int_flag(args, "t")
     if not 1 <= t <= (modulus.p - 1) // 2:
         raise CliError(f"t must lie in [1, (p-1)/2], got {t}")
     return MordellCurve(modulus, representative(modulus, cls)), t
@@ -217,9 +231,9 @@ def resolve_complete_set(args, modulus: PrimeModulus) -> CompleteSet:
     if args.set == "natural":
         if args.m is None:
             raise CliError("--m is required with --set natural")
-        return CompleteSet.natural(int(args.m), modulus)
+        return CompleteSet.natural(int_flag(args, "m"), modulus)
     elements = parse_integer_tokens(read_text(args.set))
-    m = int(args.m) if args.m is not None else len(elements)
+    m = int_flag(args, "m", len(elements))
     return CompleteSet.validate(elements, m, modulus)
 
 
@@ -239,7 +253,7 @@ def cmd_gen_sbox(args) -> int:
     kind = parse_ordering(args)
     complete_set = resolve_complete_set(args, modulus)
     curve, t = resolve_curve(args, modulus)
-    k = int(args.k or 0)
+    k = int_flag(args, "k", 0)
     if t is None:
         sbox = sbox_direct(curve, kind, complete_set, k)
     else:
@@ -264,10 +278,11 @@ def cmd_gen_prn(args) -> int:
         y_set = parse_integer_tokens(read_text(args.A))
     if args.m is None:
         raise CliError("--m is required")
-    seq = sprn(curve, kind, y_set, int(args.m), int(args.k or 0))
+    k = int_flag(args, "k", 0)
+    seq = sprn(curve, kind, y_set, int_flag(args, "m"), k)
     ent = analysis.entropy(seq)
     print(f"prn p={curve.p} b={curve.b} ordering={kind.value} "
-          f"|A|={len(seq.values)} m={seq.m} k={int(args.k or 0)} entropy={ent:.4f}",
+          f"|A|={len(seq.values)} m={seq.m} k={k} entropy={ent:.4f}",
           file=sys.stderr)
     write_output(format_sequence(seq, args.format or "csv"), args.out)
     return EXIT_OK
@@ -319,8 +334,9 @@ def cmd_count(args) -> int:
     modulus = require_modulus(args)
     if args.m is None:
         raise CliError("--m is required")
-    per_k, total = count_sboxes(modulus, int(args.m))
-    write_output(json.dumps({"p": modulus.p, "m": int(args.m),
+    m = int_flag(args, "m")
+    per_k, total = count_sboxes(modulus, m)
+    write_output(json.dumps({"p": modulus.p, "m": m,
                              "per_k": per_k, "total": total}) + "\n", args.out)
     return EXIT_OK
 
@@ -337,7 +353,7 @@ def cmd_pstar(args) -> int:
         raise CliError("--primes is required")
     lo, hi = _parse_prime_range(args.primes)
     kind = parse_ordering(args)
-    max_p = int(args.max_p) if args.max_p else 2000
+    max_p = int_flag(args, "max_p", 2000)
     rows = []
     for p in range(lo, hi + 1):
         try:
@@ -358,8 +374,8 @@ def cmd_family(args) -> int:
     modulus = require_modulus(args)
     kind = parse_ordering(args)
     complete_set = resolve_complete_set(args, modulus)
-    k = int(args.k or 0)
-    if modulus.p > int(args.max_p or 5000):
+    k = int_flag(args, "k", 0)
+    if modulus.p > int_flag(args, "max_p", 5000):
         raise CliError(f"p = {modulus.p} too large for exhaustive family "
                        f"(raise --max-p to override)", EXIT_RANGE_TOO_LARGE)
     result = enumerate_family(modulus, kind, complete_set, k, b_values=range(1, modulus.p))

@@ -60,7 +60,11 @@ class EmptySet(MecforgeError):
 
 
 class BadModulus(MecforgeError):
-    """Sequence modulus m must satisfy 1 <= m <= |A|."""
+    """Modulus m out of range: 1 <= m <= |A| for a sequence, 1 <= m <= p for a count."""
+
+
+class BadShift(MecforgeError, ValueError):
+    """Cyclic shift k must satisfy 0 <= k <= m-1."""
 
 
 # --- analysis ---

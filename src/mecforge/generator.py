@@ -10,7 +10,7 @@ roots.  Both emit identical tables.
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import BadModulus, DuplicateResidue, EmptySet, OutOfRange, TooLarge, WrongSize
+from .errors import BadModulus, BadShift, DuplicateResidue, EmptySet, OutOfRange, TooLarge, WrongSize
 from .field import PrimeModulus
 from .mec import CurveClass, CurvePoint, MordellCurve, representative, x_for_y
 from .ordering import Ordering, ordered_complete_set, rank_of_y, sort_key
@@ -92,7 +92,7 @@ def sbox_direct(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, 
     """S-box from the ordered complete set on the target curve itself."""
     m = complete_set.m
     if not 0 <= k < m:
-        raise ValueError(f"shift k = {k} must lie in [0, m-1]")
+        raise BadShift(f"shift k = {k} must lie in [0, m-1]")
     seq = ordered_complete_set(kind, curve, complete_set)
     return SBox(_shift(seq, k), m, _provenance(curve.p, curve.b, kind, "explicit", m, k))
 
@@ -109,7 +109,7 @@ def sbox_iso(rep_curve: MordellCurve, t_inv: int, kind: Ordering,
     p = modulus.p
     m = complete_set.m
     if not 0 <= k < m:
-        raise ValueError(f"shift k = {k} must lie in [0, m-1]")
+        raise BadShift(f"shift k = {k} must lie in [0, m-1]")
     t = modulus.inverse(t_inv)
     ti3 = pow(t_inv, 3, p)
     t2 = t * t % p
@@ -135,7 +135,7 @@ def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: i
     if not 1 <= m <= len(ys):
         raise BadModulus(f"m = {m} must lie in [1, |A|] = [1, {len(ys)}]")
     if not 0 <= k < m:
-        raise ValueError(f"shift k = {k} must lie in [0, m-1]")
+        raise BadShift(f"shift k = {k} must lie in [0, m-1]")
     ordered = rank_of_y(kind, curve, ys)
     n = len(ordered)
     values = tuple(ordered[(i + k) % n] % m for i in range(n))
@@ -154,7 +154,7 @@ def count_sboxes(modulus: PrimeModulus | int, m: int) -> tuple[int, int]:
     """
     p = modulus.p if isinstance(modulus, PrimeModulus) else modulus
     if not 1 <= m <= p:
-        raise ValueError(f"m = {m} must lie in [1, p]")
+        raise BadModulus(f"m = {m} must lie in [1, p]")
     q, r = divmod(p, m)
     per_k = (q + 1) ** r * q ** (m - r)
     return per_k, m * per_k

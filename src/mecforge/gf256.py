@@ -5,7 +5,6 @@ polynomial (default 0x11B, the one under which the AES S-box has the
 classic 9-term algebraic expression).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 DEFAULT_POLY = 0x11B
@@ -61,70 +60,28 @@ def gf_pow(a: int, e: int, poly: int = DEFAULT_POLY) -> int:
     return exp[log[a] * e % 255]
 
 
-@dataclass(frozen=True)
-class Gf256Element:
-    """A field element; arithmetic delegates to the table-driven functions."""
-
-    bits: int
-    reduction_poly: int = DEFAULT_POLY
-
-    def __post_init__(self):
-        if not 0 <= self.bits <= 0xFF:
-            raise ValueError(f"{self.bits} is not an 8-bit value")
-
-    def _wrap(self, bits: int) -> "Gf256Element":
-        return Gf256Element(bits, self.reduction_poly)
-
-    def __add__(self, other: "Gf256Element") -> "Gf256Element":
-        return self._wrap(self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "Gf256Element") -> "Gf256Element":
-        return self._wrap(mul(self.bits, other.bits, self.reduction_poly))
-
-    def inverse(self) -> "Gf256Element":
-        return self._wrap(inv(self.bits, self.reduction_poly))
-
-    def __int__(self) -> int:
-        return self.bits
-
-
-def poly_eval(coeffs: list[int], x: int, poly: int = DEFAULT_POLY) -> int:
-    """Horner evaluation; coeffs[i] is the coefficient of x^i."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = mul(acc, x, poly) ^ c
-    return acc
-
-
 def interpolate(values: list[int], poly: int = DEFAULT_POLY) -> list[int]:
     """Coefficients of the unique polynomial with P(i) = values[i] for all i in [0, 255].
 
-    Lagrange form: the master product M(x) = prod(x - x_j) over all of
-    GF(2^8) is x^256 + x, each basis numerator is M(x) / (x - x_i) by
-    synthetic division, and the denominator is its value at x_i.
+    Closed form over GF(q), q = 256 (Lidl & Niederreiter, Finite Fields,
+    ch. 7): c_0 = f(0), c_d = sum over x != 0 of f(x) * x^-d for
+    1 <= d <= 254, and c_255 = sum over all x of f(x).
     """
     if len(values) != 256:
         raise ValueError("interpolation is defined on all 256 field points")
-    coeffs = [0] * 256
-    # M(x) = x^256 + x; synthetic division by (x - xi) never needs the x^256
-    # term explicitly: M/(x - xi) has degree 255.
-    master = [0] * 257
-    master[256] = 1
-    master[1] = 1
-    for xi, yi in enumerate(values):
-        if yi == 0:
-            continue
-        # quotient q of M(x) / (x + xi), degree 255
-        q = [0] * 256
-        carry = master[256]
-        for d in range(255, -1, -1):
-            q[d] = carry
-            carry = master[d] ^ mul(carry, xi, poly)
-        denom = poly_eval(q, xi, poly)
-        scale = mul(yi, inv(denom, poly), poly)
-        for d in range(256):
-            if q[d]:
-                coeffs[d] ^= mul(scale, q[d], poly)
-    return coeffs
+    log, exp = _tables(poly)
+    # cycle[e] = g^(e mod 255) for every e < 255^2.  For each x != 0 the
+    # terms f(x) * x^-d = g^(log f(x) + d * (255 - log x)), d = 1..254, are
+    # then one strided slice of it; summing them over x is XOR of the slices
+    # read as 254-byte integers, whose byte d - 1 is c_d.
+    cycle = bytes(exp) * 255
+    middle = 0
+    total = values[0]
+    for x in range(1, 256):
+        y = values[x]
+        if y:
+            total ^= y
+            step = 255 - log[x]
+            start = log[y] + step
+            middle ^= int.from_bytes(cycle[start:start + 254 * step:step], "little")
+    return [values[0], *middle.to_bytes(254, "little"), total]

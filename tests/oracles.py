@@ -1,12 +1,16 @@
 """Independent reference implementations used to cross-check the fast paths.
 
 Everything here is deliberately brute force and shares no code with the
-package internals beyond the public data types.
+package internals beyond the public data types and the GF(2^8) field
+operations `mul` and `inv`.
 """
 
+from fractions import Fraction
 from itertools import product
+from typing import Optional
 
 from mecforge.generator import SBox
+from mecforge.gf256 import DEFAULT_POLY, inv, mul
 from mecforge.ordering import Ordering
 
 
@@ -85,3 +89,94 @@ def nonlinearity_direct(sbox: SBox) -> int:
             d = sum(c ^ l for c, l in zip(comp, lin))
             best = min(best, d, size - d)
     return best
+
+
+def max_abs_walsh(sbox: SBox) -> int:
+    """max over non-zero output masks a and all input masks b of |W(a, b)|,
+    by a fast Walsh-Hadamard transform of each +-1 component function."""
+    size = sbox.m
+    best = 0
+    for a in range(1, size):
+        w = [1 if bin(a & v).count("1") % 2 == 0 else -1 for v in sbox.table]
+        h = 1
+        while h < size:
+            for i in range(0, size, h * 2):
+                for j in range(i, i + h):
+                    u, v = w[j], w[j + h]
+                    w[j], w[j + h] = u + v, u - v
+            h *= 2
+        best = max(best, max(abs(x) for x in w))
+    return best
+
+
+def _bit(value: int, i: int) -> int:
+    return (value >> i) & 1
+
+
+def sac_matrix_direct(sbox: SBox) -> list[list[Fraction]]:
+    """entry[i][j]: share of inputs x for which flipping bit j flips output bit i."""
+    n = (sbox.m - 1).bit_length()
+    size, table = sbox.m, sbox.table
+    return [[Fraction(sum(_bit(table[x ^ (1 << j)] ^ table[x], i) for x in range(size)), size)
+             for j in range(n)] for i in range(n)]
+
+
+def bic_matrix_direct(sbox: SBox) -> list[list[Optional[Fraction]]]:
+    """entry[i][r]: share of (x, j) for which flipping input bit j flips
+    exactly one of output bits i and r; diagonal entries are None."""
+    n = (sbox.m - 1).bit_length()
+    size, table = sbox.m, sbox.table
+    matrix: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for r in range(i + 1, n):
+            total = 0
+            for j in range(n):
+                for x in range(size):
+                    d = table[x ^ (1 << j)] ^ table[x]
+                    total += _bit(d, i) ^ _bit(d, r)
+            matrix[i][r] = matrix[r][i] = Fraction(total, n * size)
+    return matrix
+
+
+def poly_eval(coeffs: list[int], x: int, poly: int = DEFAULT_POLY) -> int:
+    """Horner evaluation over GF(2^8); coeffs[i] is the coefficient of x^i."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = mul(acc, x, poly) ^ c
+    return acc
+
+
+def interpolate_lagrange(values: list[int], poly: int = DEFAULT_POLY) -> list[int]:
+    """Coefficients of the polynomial through all 256 points, in Lagrange form.
+
+    The master product M(x) = prod(x - x_j) over all of GF(2^8) is
+    x^256 + x; each basis numerator is M(x) / (x - x_i) by synthetic
+    division, and the denominator is its value at x_i.
+    """
+    coeffs = [0] * 256
+    master = [0] * 257
+    master[256] = 1
+    master[1] = 1
+    for xi, yi in enumerate(values):
+        if yi == 0:
+            continue
+        q = [0] * 256
+        carry = master[256]
+        for d in range(255, -1, -1):
+            q[d] = carry
+            carry = master[d] ^ mul(carry, xi, poly)
+        scale = mul(yi, inv(poly_eval(q, xi, poly), poly), poly)
+        for d in range(256):
+            if q[d]:
+                coeffs[d] ^= mul(scale, q[d], poly)
+    return coeffs
+
+
+def period_direct(values) -> int:
+    """Least h >= 1 with values[i + h] == values[i] wherever both are defined,
+    by trying every h in turn."""
+    n = len(values)
+    for h in range(1, n):
+        if all(values[i + h] == values[i] for i in range(n - h)):
+            return h
+    return n

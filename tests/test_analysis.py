@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mecforge.analysis import (
@@ -26,15 +26,27 @@ from mecforge.analysis import (
 from mecforge.errors import EmptySequence, NotPowerOfTwo, SizeMismatch, UnsupportedSize
 from mecforge.field import PrimeModulus
 from mecforge.generator import CompleteSet, SBox, sprn
+from mecforge.gf256 import interpolate
 from mecforge.mec import MordellCurve
 from mecforge.ordering import Ordering
 
-from oracles import nonlinearity_direct
+from oracles import (
+    bic_matrix_direct,
+    interpolate_lagrange,
+    max_abs_walsh,
+    nonlinearity_direct,
+    period_direct,
+    sac_matrix_direct,
+)
 
 
 def permutation_sboxes(n):
     size = 1 << n
     return st.permutations(range(size)).map(lambda t: SBox(tuple(t), size))
+
+
+def sboxes_up_to_8_bits():
+    return st.integers(1, 8).flatmap(permutation_sboxes)
 
 
 def identity_sbox(n):
@@ -78,6 +90,39 @@ def test_nonlinearity_matches_definition_n3(sbox):
 @settings(max_examples=10, deadline=None)
 def test_nonlinearity_matches_definition_n4(sbox):
     assert nonlinearity(sbox) == nonlinearity_direct(sbox)
+
+
+@given(sboxes_up_to_8_bits())
+@settings(max_examples=20, deadline=None)
+def test_nonlinearity_and_lap_match_walsh_oracle(sbox):
+    n = (sbox.m - 1).bit_length()
+    walsh = max_abs_walsh(sbox)
+    assert nonlinearity(sbox) == (1 << (n - 1)) - walsh // 2
+    assert lap(sbox) == Fraction(walsh, 1 << (n + 1))
+
+
+@given(sboxes_up_to_8_bits())
+@settings(max_examples=20, deadline=None)
+def test_sac_and_bic_match_direct_oracle(sbox):
+    assert sac_matrix(sbox) == sac_matrix_direct(sbox)
+    assert bic_matrix(sbox) == bic_matrix_direct(sbox)
+
+
+# Shrinking a 256-entry permutation against the slow oracles takes minutes,
+# so the 8-bit cases report the first failing table as found.
+@given(permutation_sboxes(8))
+@settings(max_examples=5, deadline=None, phases=[Phase.generate])
+def test_battery_matches_oracles_on_8_bit_permutations(sbox):
+    report = analyze_sbox(sbox)
+    walsh = max_abs_walsh(sbox)
+    coeffs = interpolate_lagrange(list(sbox.table))
+    assert interpolate(list(sbox.table)) == coeffs
+    assert report.ac == algebraic_complexity(sbox) == sum(1 for c in coeffs if c)
+    assert report.nl == 128 - walsh // 2 and report.lap == Fraction(walsh, 512)
+    sac = [e for row in sac_matrix_direct(sbox) for e in row]
+    bic = [e for row in bic_matrix_direct(sbox) for e in row if e is not None]
+    assert (report.sac_min, report.sac_max) == (min(sac), max(sac))
+    assert (report.bic_min, report.bic_max) == (min(bic), max(bic))
 
 
 @given(permutation_sboxes(4))
@@ -212,6 +257,19 @@ def test_period_of_explicit_repetition(block, reps):
     hp = period(full)
     assert hp <= len(block)
     assert all(full[i + hp] == full[i] for i in range(len(full) - hp))
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=8), st.integers(1, 40),
+       st.lists(st.integers(0, 2), max_size=8))
+def test_period_matches_definition(block, length, tail):
+    # a truncated repetition of a block, then a few free symbols
+    values = (block * length)[:length] + tail
+    assert period(values) == period_direct(values)
+
+
+def test_period_is_linear_on_long_borderless_input():
+    # the definitional scan is quadratic here: every shift fails only at the end
+    assert period([0] * 20000 + [1]) == 20001
 
 
 def test_period_detects_truncated_tail():

@@ -273,6 +273,25 @@ def test_family_guard(capsys):
     assert code == EXIT_RANGE_TOO_LARGE and "--max-p" in err
 
 
+# --- validation failures exit 2 without a traceback ------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--p", "abc", "--m", "5"], "--p expects an integer"),
+    (["count", "--p", "263", "--m", "0"], "m = 0 must lie in [1, p]"),
+    (["gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural", "--set", "natural",
+      "--m", "11", "--k", "20"], "shift k = 20"),
+    (["gen-prn", "--p", "11", "--b", "1", "--ordering", "natural", "--A", "full",
+      "--m", "5", "--k", "5"], "shift k = 5"),
+    (["gen-sbox", "--p", "11", "--class", "bogus", "--t", "2", "--ordering", "natural",
+      "--set", "natural", "--m", "11"], "unknown curve class 'bogus'"),
+], ids=["non-integer-p", "count-m-zero", "sbox-k-too-large", "prn-k-too-large",
+        "unknown-class"])
+def test_invalid_parameters_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert message in err and "Traceback" not in err
+
+
 # --- environment guard --------------------------------------------------------------
 
 def test_enumeration_env_guard(monkeypatch, curve_11_1):
