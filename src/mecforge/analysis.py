@@ -137,18 +137,11 @@ def bic_matrix(sbox: SBox) -> list[list[Optional[Fraction]]]:
     return _bic(_derivative_planes(*_planes(sbox)))
 
 
-def _span(matrix) -> tuple[Fraction, Fraction]:
-    """Least and greatest entry, skipping the None diagonal of a BIC matrix."""
+def _span(matrix) -> tuple[Optional[Fraction], Optional[Fraction]]:
+    """Least and greatest entry, skipping the None diagonal of a BIC matrix;
+    (None, None) when only the diagonal exists (a 1-bit S-box's BIC)."""
     entries = [e for row in matrix for e in row if e is not None]
-    return min(entries), max(entries)
-
-
-def sac_range(sbox: SBox) -> tuple[Fraction, Fraction]:
-    return _span(sac_matrix(sbox))
-
-
-def bic_range(sbox: SBox) -> tuple[Fraction, Fraction]:
-    return _span(bic_matrix(sbox))
+    return (min(entries), max(entries)) if entries else (None, None)
 
 
 def fixed_points(sbox: SBox) -> int:
@@ -174,8 +167,8 @@ class AnalysisReport:
     ac: Optional[int]
     sac_min: Fraction
     sac_max: Fraction
-    bic_min: Fraction
-    bic_max: Fraction
+    bic_min: Optional[Fraction]
+    bic_max: Optional[Fraction]
     fixed_points: int
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -188,14 +181,16 @@ class AnalysisReport:
             "dap": frac(self.dap),
             "ac": self.ac if self.ac is not None else "n/a",
             "sac": {"min": frac(self.sac_min), "max": frac(self.sac_max)},
-            "bic": {"min": frac(self.bic_min), "max": frac(self.bic_max)},
+            "bic": ({"min": frac(self.bic_min), "max": frac(self.bic_max)}
+                    if self.bic_min is not None else "n/a"),
             "fixed_points": self.fixed_points,
         }
         return json.dumps(payload, indent=indent)
 
 
 def analyze_sbox(sbox: SBox) -> AnalysisReport:
-    """Full metric battery; AC is reported as None for sizes other than 256.
+    """Full metric battery; AC is reported as None for sizes other than 256,
+    and the BIC range as None for 2-entry S-boxes, which have one output bit.
 
     The bit planes, the Walsh spectrum's maximum and the derivative table are
     each built once and shared by the metrics that read them.

@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import analysis, data
@@ -110,9 +109,11 @@ def parse_sbox(text: str, fmt: str = "auto") -> SBox:
             fmt = "hex"
     if fmt == "json":
         payload = json.loads(text)
-        table = payload["table"]
-        prov = tuple(sorted(payload.get("provenance", {}).items()))
-        return SBox(tuple(table), payload.get("m", len(table)), prov)
+        table, prov = payload["table"], payload.get("provenance", {})
+        if not (isinstance(table, list) and all(type(v) is int for v in table)
+                and isinstance(prov, dict)):
+            raise CliError("a JSON S-box needs an integer list 'table' and an object 'provenance'")
+        return SBox(tuple(table), payload.get("m", len(table)), tuple(sorted(prov.items())))
     if fmt == "csv":
         table = [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
         return SBox(tuple(table), len(table))
@@ -149,7 +150,10 @@ def format_sequence(seq: SprnSequence, fmt: str) -> str:
 def parse_sequence(text: str) -> list[int]:
     text = text.strip()
     if text.startswith("{"):
-        return [int(v) for v in json.loads(text)["values"]]
+        values = json.loads(text)["values"]
+        if not (isinstance(values, list) and all(type(v) is int for v in values)):
+            raise CliError("malformed sequence input: 'values' must be a list of integers")
+        return values
     if "," in text:
         return [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
     return parse_integer_tokens(text)
@@ -288,17 +292,16 @@ def cmd_gen_prn(args) -> int:
     return EXIT_OK
 
 
-def _frac_cell(f: Fraction) -> str:
-    return f"{float(f):.6g}"
-
-
 def cmd_analyze(args) -> int:
     if args.input == "aes":
         text = data.path("aes_sbox.txt").read_text()
     else:
         text = read_text(args.input)
     if args.kind == "prn":
-        values = parse_sequence(text)
+        try:
+            values = parse_sequence(text)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CliError(f"malformed sequence input: {exc}") from exc
         if not values:
             raise CliError("empty sequence")
         hist = analysis.histogram(values)
@@ -312,7 +315,7 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
     try:
         sbox = parse_sbox(text, args.format or "auto")
-    except (MecforgeError, AssertionError, ValueError, KeyError) as exc:
+    except (MecforgeError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed S-box input: {exc}") from exc
     unsupported = False
     try:

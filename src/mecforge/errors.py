@@ -19,7 +19,7 @@ class NonResidue(MecforgeError):
     """Square root of a quadratic non-residue was requested."""
 
 
-class NotAdmissible(MecforgeError):
+class NotAdmissible(MecforgeError, ValueError):
     """Operation requires a prime p with p = 2 (mod 3)."""
 
 
@@ -27,10 +27,14 @@ class NotPrime(MecforgeError):
     """Modulus failed the primality check."""
 
 
+class NotCanonical(MecforgeError, ValueError):
+    """A residue outside [0, p-1] was passed to a field operation."""
+
+
 # --- curves ---
 
-class ZeroParameter(MecforgeError):
-    """Isomorphism parameter t must be non-zero."""
+class BadCoefficient(MecforgeError, ValueError):
+    """Curve coefficient b must lie in [1, p-1]."""
 
 
 class TooLarge(MecforgeError):
@@ -65,6 +69,10 @@ class BadModulus(MecforgeError):
 
 class BadShift(MecforgeError, ValueError):
     """Cyclic shift k must satisfy 0 <= k <= m-1."""
+
+
+class NotPermutation(MecforgeError, ValueError):
+    """S-box table is not a permutation of [0, m-1]."""
 
 
 # --- analysis ---

@@ -7,7 +7,7 @@ residues in [0, p-1]; all operations are pure.
 
 from dataclasses import dataclass, field
 
-from .errors import NonResidue, NotAdmissible, NotPrime, ZeroInput, ZeroInverse
+from .errors import NonResidue, NotAdmissible, NotCanonical, NotPrime, ZeroInput, ZeroInverse
 
 # Deterministic Miller-Rabin witness set, valid for every n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -56,7 +56,7 @@ class PrimeModulus:
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.p:
-            raise ValueError(f"{a} is not a canonical residue mod {self.p}")
+            raise NotCanonical(f"{a} is not a canonical residue mod {self.p}")
         return a
 
     def pow(self, base: int, exp: int) -> int:
@@ -127,27 +127,3 @@ class PrimeModulus:
             if not self.is_quadratic_residue(a):
                 return a
         raise AssertionError("unreachable: every odd prime has a QNR")
-
-
-def mod_pow(base: int, exp: int, modulus: PrimeModulus) -> int:
-    return modulus.pow(base, exp)
-
-
-def mod_inverse(a: int, modulus: PrimeModulus) -> int:
-    return modulus.inverse(a)
-
-
-def is_quadratic_residue(a: int, modulus: PrimeModulus) -> bool:
-    return modulus.is_quadratic_residue(a)
-
-
-def sqrt_mod(a: int, modulus: PrimeModulus) -> tuple[int, int]:
-    return modulus.sqrt(a)
-
-
-def cube_root(a: int, modulus: PrimeModulus) -> int:
-    return modulus.cube_root(a)
-
-
-def smallest_qnr(modulus: PrimeModulus) -> int:
-    return modulus.smallest_qnr()

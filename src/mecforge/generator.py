@@ -1,19 +1,20 @@
 """S-box and pseudo-random sequence generators over ordered Mordell curves.
 
-Two S-box construction paths are provided: a direct one that looks up the
-curve point of every seed element on the target curve, and an accelerated
-one that works on a class-representative curve and transports points through
-the curve isomorphism, avoiding any dependence on p beyond single cube
-roots.  Both emit identical tables.
+An S-box is the complete set's residues in the order the curve imposes on
+the points that carry its elements as y-coordinates, cyclically shifted.
+`sbox_direct` takes the curve itself; `sbox_iso` takes a class
+representative E_{p, b} and an isomorphism parameter, which only select the
+curve E_{p, t^6 b}.  Both build the table the same way.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import BadModulus, BadShift, DuplicateResidue, EmptySet, OutOfRange, TooLarge, WrongSize
+from .errors import (BadModulus, BadShift, DuplicateResidue, EmptySet, NotPermutation,
+                     OutOfRange, TooLarge, WrongSize)
 from .field import PrimeModulus
-from .mec import CurveClass, CurvePoint, MordellCurve, representative, x_for_y
-from .ordering import Ordering, ordered_complete_set, rank_of_y, sort_key
+from .mec import MordellCurve
+from .ordering import Ordering, ordered_complete_set, rank_of_y
 
 
 @dataclass(frozen=True)
@@ -26,11 +27,11 @@ class CompleteSet:
 
     @classmethod
     def validate(cls, elements: Iterable[int], m: int, modulus: PrimeModulus) -> "CompleteSet":
+        if not 1 <= m <= modulus.p:  # before the elements are read: range(m) may be huge
+            raise WrongSize(f"m = {m} must lie in [1, p] = [1, {modulus.p}]")
         elems = tuple(elements)
         if len(elems) != m:
             raise WrongSize(f"expected {m} elements, got {len(elems)}")
-        if not 1 <= m <= modulus.p:
-            raise WrongSize(f"m = {m} must lie in [1, p] = [1, {modulus.p}]")
         seen: dict[int, int] = {}
         for e in elems:
             if not 0 <= e <= modulus.p - 1:
@@ -57,7 +58,7 @@ class SBox:
 
     def __post_init__(self):
         if sorted(self.table) != list(range(self.m)):
-            raise AssertionError("S-box table is not a permutation of [0, m-1]")
+            raise NotPermutation("S-box table is not a permutation of [0, m-1]")
 
     def provenance_dict(self) -> dict:
         return dict(self.provenance)
@@ -75,8 +76,9 @@ class SprnSequence:
         return dict(self.provenance)
 
 
-def validate_complete_set(elements: Iterable[int], m: int, modulus: PrimeModulus) -> CompleteSet:
-    return CompleteSet.validate(elements, m, modulus)
+def _check_shift(k: int, m: int) -> None:
+    if not 0 <= k < m:
+        raise BadShift(f"shift k = {k} must lie in [0, m-1]")
 
 
 def _shift(seq: Sequence[int], k: int) -> tuple[int, ...]:
@@ -84,43 +86,30 @@ def _shift(seq: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(seq[(i + k) % n] for i in range(n))
 
 
-def _provenance(p: int, b: int, kind: Ordering, source: str, m: int, k: int) -> tuple:
-    return (("p", p), ("b", b), ("ordering", kind.value), ("set", source), ("m", m), ("k", k))
+def _sbox(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
+    """The one S-box construction: order the complete set on `curve`, then shift."""
+    m = complete_set.m
+    seq = ordered_complete_set(kind, curve, complete_set)
+    prov = (("p", curve.p), ("b", curve.b), ("ordering", kind.value),
+            ("set", "explicit"), ("m", m), ("k", k))
+    return SBox(_shift(seq, k), m, prov)
 
 
 def sbox_direct(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
     """S-box from the ordered complete set on the target curve itself."""
-    m = complete_set.m
-    if not 0 <= k < m:
-        raise BadShift(f"shift k = {k} must lie in [0, m-1]")
-    seq = ordered_complete_set(kind, curve, complete_set)
-    return SBox(_shift(seq, k), m, _provenance(curve.p, curve.b, kind, "explicit", m, k))
+    _check_shift(k, complete_set.m)
+    return _sbox(curve, kind, complete_set, k)
 
 
 def sbox_iso(rep_curve: MordellCurve, t_inv: int, kind: Ordering,
              complete_set: CompleteSet, k: int) -> SBox:
-    """S-box on E_{p, t^6 b} built via the isomorphism from a representative curve.
-
-    Points carrying y from the seed set are found by pulling y back to the
-    representative curve (y' = t^-3 y), looking x up there, and pushing x
-    forward (x = t^2 x'); only the representative curve is ever searched.
-    """
+    """S-box on E_{p, t^6 b}, the curve isomorphic to the representative
+    E_{p, b} under the parameter t = t_inv^-1.  Its table is the direct
+    S-box of that curve."""
     modulus = rep_curve.modulus
-    p = modulus.p
-    m = complete_set.m
-    if not 0 <= k < m:
-        raise BadShift(f"shift k = {k} must lie in [0, m-1]")
-    t = modulus.inverse(t_inv)
-    ti3 = pow(t_inv, 3, p)
-    t2 = t * t % p
-    b_target = pow(t, 6, p) * rep_curve.b % p
-    points = []
-    for y in complete_set.elements:
-        y_rep = ti3 * y % p
-        points.append(CurvePoint(t2 * x_for_y(rep_curve, y_rep) % p, y))
-    points.sort(key=sort_key(kind, modulus))
-    seq = [pt.y % m for pt in points]
-    return SBox(_shift(seq, k), m, _provenance(p, b_target, kind, "explicit", m, k))
+    _check_shift(k, complete_set.m)
+    b = pow(modulus.inverse(t_inv), 6, modulus.p) * rep_curve.b % modulus.p
+    return _sbox(MordellCurve(modulus, b), kind, complete_set, k)
 
 
 def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: int) -> SprnSequence:
@@ -134,8 +123,7 @@ def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: i
         raise EmptySet("input set A is empty")
     if not 1 <= m <= len(ys):
         raise BadModulus(f"m = {m} must lie in [1, |A|] = [1, {len(ys)}]")
-    if not 0 <= k < m:
-        raise BadShift(f"shift k = {k} must lie in [0, m-1]")
+    _check_shift(k, m)
     ordered = rank_of_y(kind, curve, ys)
     n = len(ordered)
     values = tuple(ordered[(i + k) % n] % m for i in range(n))
@@ -215,30 +203,15 @@ class FamilyResult:
 
 
 def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: CompleteSet, k: int,
-                     b_values: Optional[Iterable[int]] = None,
-                     curve_class: Optional[CurveClass] = None,
-                     t_values: Optional[Iterable[int]] = None) -> FamilyResult:
-    """One S-box per curve parameter.
+                     b_values: Iterable[int]) -> FamilyResult:
+    """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
-    With ``b_values`` each curve is built directly; with ``curve_class`` and
-    ``t_values`` the S-boxes are built on the class representative via the
-    isomorphism path.  Per-item failures are collected, not raised.
+    Per-item failures are collected, not raised.
     """
     result = FamilyResult([], [])
-    if b_values is not None:
-        for b in b_values:
-            try:
-                result.sboxes.append(sbox_direct(MordellCurve(modulus, b), kind, complete_set, k))
-            except Exception as exc:  # noqa: BLE001 - per-item error collection
-                result.errors.append((b, exc))
-    elif curve_class is not None and t_values is not None:
-        rep = MordellCurve(modulus, representative(modulus, curve_class))
-        for t in t_values:
-            try:
-                result.sboxes.append(
-                    sbox_iso(rep, modulus.inverse(t % modulus.p), kind, complete_set, k))
-            except Exception as exc:  # noqa: BLE001
-                result.errors.append((t, exc))
-    else:
-        raise ValueError("provide either b_values or (curve_class and t_values)")
+    for b in b_values:
+        try:
+            result.sboxes.append(sbox_direct(MordellCurve(modulus, b), kind, complete_set, k))
+        except Exception as exc:  # noqa: BLE001 - per-item error collection
+            result.errors.append((b, exc))
     return result

@@ -2,9 +2,11 @@
 
 Because cubing is a bijection on F_p for such primes, every y in [0, p-1]
 appears exactly once as a y-coordinate, so the curve has exactly p affine
-points and point lookup by y-coordinate is a single cube root.  The group
-law is never used; all downstream machinery only needs point enumeration,
-total orders, and the isomorphism (x, y) -> (t^2 x, t^3 y).
+points and point lookup by y-coordinate is a single cube root (`x_for_y`,
+the package's only x-lookup).  The group law is never used, nor is the
+isomorphism (x, y) -> (t^2 x, t^3 y) as a map on points: an isomorphism
+class and a parameter t only select the curve E_{p, t^6 b} for the class
+representative b.
 """
 
 import os
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import TooLarge, ZeroParameter
+from .errors import BadCoefficient, NotAdmissible, TooLarge
 from .field import PrimeModulus
 
 DEFAULT_MAX_ENUM_P = 1 << 26
@@ -37,9 +39,9 @@ class MordellCurve:
 
     def __post_init__(self):
         if not self.modulus.mec_admissible:
-            raise ValueError(f"p = {self.p} is not admissible (need p = 2 mod 3, p > 3)")
+            raise NotAdmissible(f"p = {self.p} is not admissible (need p = 2 mod 3, p > 3)")
         if not 1 <= self.b <= self.p - 1:
-            raise ValueError(f"b = {self.b} must lie in [1, p-1]")
+            raise BadCoefficient(f"b = {self.b} must lie in [1, p-1]")
 
     @property
     def p(self) -> int:
@@ -80,27 +82,3 @@ def classify(curve: MordellCurve) -> CurveClass:
 def representative(modulus: PrimeModulus, curve_class: CurveClass) -> int:
     """Canonical b for each class: 1 for C1, the smallest QNR for C2."""
     return 1 if curve_class is CurveClass.C1 else modulus.smallest_qnr()
-
-
-def iso_map_point(point: CurvePoint, t: int, modulus: PrimeModulus) -> CurvePoint:
-    """Image (t^2 x, t^3 y) of a point under the isomorphism with parameter t.
-
-    Maps E_{p,b} onto E_{p, t^6 b}.
-    """
-    p = modulus.p
-    if t % p == 0:
-        raise ZeroParameter("isomorphism parameter t must be non-zero")
-    t2 = t * t % p
-    return CurvePoint(t2 * point.x % p, t2 * t % p * point.y % p)
-
-
-def iso_param_between(b1: int, b2: int, modulus: PrimeModulus) -> Optional[int]:
-    """The isomorphism parameter t in [1, (p-1)/2] with t^6 b1 = b2, or None.
-
-    None means the curves lie in different classes (b2/b1 has no sixth root).
-    """
-    s = modulus.cube_root(b2 * modulus.inverse(b1) % modulus.p)
-    if not modulus.is_quadratic_residue(s):
-        return None
-    lo, hi = modulus.sqrt(s)
-    return lo if 1 <= lo <= (modulus.p - 1) // 2 else hi

@@ -8,7 +8,7 @@ y-values, and from there on the residues of an (m, p)-complete set.
 """
 
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .field import PrimeModulus
 from .mec import CurvePoint, MordellCurve, point_for_y
@@ -41,17 +41,6 @@ def sort_key(kind: Ordering, modulus: PrimeModulus) -> Callable[[CurvePoint], tu
     return lambda pt: ((pt.x + pt.y) % p, pt.x)
 
 
-def compare_points(kind: Ordering, p1: CurvePoint, p2: CurvePoint, modulus: PrimeModulus) -> int:
-    """-1, 0 or 1 as p1 precedes, equals or follows p2."""
-    key = sort_key(kind, modulus)
-    k1, k2 = key(p1), key(p2)
-    return (k1 > k2) - (k1 < k2)
-
-
-def sort_points(kind: Ordering, points: Iterable[CurvePoint], modulus: PrimeModulus) -> list[CurvePoint]:
-    return sorted(points, key=sort_key(kind, modulus))
-
-
 def rank_of_y(kind: Ordering, curve: MordellCurve, ys: Iterable[int]) -> list[int]:
     """y-values sorted by the curve-order position of their unique points."""
     key = sort_key(kind, curve.modulus)
@@ -67,8 +56,3 @@ def ordered_complete_set(kind: Ordering, curve: MordellCurve, complete_set: "Com
     """
     m = complete_set.m
     return [y % m for y in rank_of_y(kind, curve, complete_set.elements)]
-
-
-def y_sequence(points: Sequence[CurvePoint]) -> list[int]:
-    """Projection of a point sequence onto y-coordinates."""
-    return [pt.y for pt in points]

@@ -2,7 +2,9 @@
 
 Everything here is deliberately brute force and shares no code with the
 package internals beyond the public data types and the GF(2^8) field
-operations `mul` and `inv`.
+operations `mul` and `inv`.  In particular nothing here imports
+`mecforge.field` or `mecforge.mec`: field and curve arithmetic is done on
+plain integers.
 """
 
 from fractions import Fraction
@@ -32,6 +34,13 @@ def ordering_key(kind: Ordering, p: int):
     return lambda pt: ((pt[0] + pt[1]) % p, pt[0])
 
 
+def _sbox_from_points(points: list[tuple[int, int]], p: int, kind: Ordering, k: int) -> SBox:
+    points = sorted(points, key=ordering_key(kind, p))
+    m = len(points)
+    seq = [y % m for _, y in points]
+    return SBox(tuple(seq[(i + k) % m] for i in range(m)), m)
+
+
 def sbox_trial_loop(p: int, b: int, kind: Ordering, elements, k: int) -> SBox:
     """S-box built exactly as the O(mp) construction prescribes.
 
@@ -47,11 +56,40 @@ def sbox_trial_loop(p: int, b: int, kind: Ordering, elements, k: int) -> SBox:
                 break
         else:
             raise AssertionError(f"no x found for y={y}")
-    points.sort(key=ordering_key(kind, p))
-    m = len(points)
-    seq = [y % m for _, y in points]
-    table = tuple(seq[(i + k) % m] for i in range(m))
-    return SBox(table, m)
+    return _sbox_from_points(points, p, kind, k)
+
+
+def iso_map_point(point: tuple[int, int], t: int, p: int) -> tuple[int, int]:
+    """Image (t^2 x, t^3 y) of a point of E_{p, b} on E_{p, t^6 b}."""
+    if t % p == 0:
+        raise ValueError("isomorphism parameter t must be non-zero")
+    x, y = point
+    return (t * t * x % p, t * t * t * y % p)
+
+
+def iso_param(b1: int, b2: int, p: int) -> Optional[int]:
+    """The t in [1, (p-1)/2] with t^6 b1 = b2 (mod p), by trying each t;
+    None when E_{p, b1} and E_{p, b2} lie in different classes."""
+    for t in range(1, (p - 1) // 2 + 1):
+        if pow(t, 6, p) * b1 % p == b2:
+            return t
+    return None
+
+
+def sbox_transport(p: int, b_rep: int, t: int, kind: Ordering, elements, k: int) -> SBox:
+    """S-box on E_{p, t^6 b_rep}, built on the representative E_{p, b_rep}.
+
+    Each seed y is pulled back to y' = t^-3 y, its partner x' is looked up
+    on the representative curve in a table of all cubes, and the point is
+    pushed forward to (t^2 x', y); the target curve is never searched.
+    """
+    cube_root = {x * x * x % p: x for x in range(p)}
+    t_inv3 = pow(t, -3, p)
+    points = []
+    for y in elements:
+        y_rep = t_inv3 * y % p
+        points.append((t * t * cube_root[(y_rep * y_rep - b_rep) % p] % p, y))
+    return _sbox_from_points(points, p, kind, k)
 
 
 def sprn_trial_loop(p: int, b: int, kind: Ordering, y_set, m: int, k: int) -> list[int]:

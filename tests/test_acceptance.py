@@ -25,10 +25,10 @@ from mecforge.analysis import (
 from mecforge.cli import main
 from mecforge.field import PrimeModulus, is_prime
 from mecforge.generator import CompleteSet, count_sboxes, pstar, sbox_direct, sbox_iso, sprn
-from mecforge.mec import MordellCurve, classify, iso_param_between, representative
+from mecforge.mec import MordellCurve, classify, representative
 from mecforge.ordering import Ordering
 
-from oracles import count_complete_sets_exhaustive, sbox_trial_loop
+from oracles import count_complete_sets_exhaustive, iso_param, sbox_transport, sbox_trial_loop
 
 ADMISSIBLE_UNDER_200 = [p for p in range(5, 200) if is_prime(p) and p % 3 == 2]
 
@@ -128,10 +128,12 @@ def test_criterion_06_construction_paths_agree():
         direct = sbox_direct(curve, kind, cs, k)
         assert sorted(direct.table) == list(range(m))
         rep_b = representative(modulus, classify(curve))
-        t = iso_param_between(rep_b, b, modulus)
+        t = iso_param(rep_b, b, p)
         via_iso = sbox_iso(MordellCurve(modulus, rep_b), modulus.inverse(t), kind, cs, k)
         assert via_iso.table == direct.table
+        assert via_iso.provenance == direct.provenance
         assert sbox_trial_loop(p, b, kind, cs.elements, k).table == direct.table
+        assert sbox_transport(p, rep_b, t, kind, cs.elements, k).table == direct.table
     assert time.perf_counter() - start < 30
 
 

@@ -10,7 +10,6 @@ from mecforge.analysis import (
     algebraic_complexity,
     analyze_sbox,
     bic_matrix,
-    bic_range,
     correlation,
     dap,
     distinct_count,
@@ -21,7 +20,6 @@ from mecforge.analysis import (
     nonlinearity,
     period,
     sac_matrix,
-    sac_range,
 )
 from mecforge.errors import EmptySequence, NotPowerOfTwo, SizeMismatch, UnsupportedSize
 from mecforge.field import PrimeModulus
@@ -134,10 +132,9 @@ def test_metric_invariants(sbox):
     assert nl == 8 - l * 32 / 2
     d = dap(sbox)
     assert Fraction(1, 8) <= d <= 1
-    lo, hi = sac_range(sbox)
-    assert 0 <= lo <= hi <= 1
-    blo, bhi = bic_range(sbox)
-    assert 0 <= blo <= bhi <= 1
+    report = analyze_sbox(sbox)
+    assert 0 <= report.sac_min <= report.sac_max <= 1
+    assert 0 <= report.bic_min <= report.bic_max <= 1
 
 
 def test_aes_reference_metrics(aes_sbox_table):
@@ -147,8 +144,8 @@ def test_aes_reference_metrics(aes_sbox_table):
     assert dap(s) == Fraction(1, 64)
     assert algebraic_complexity(s) == 9
     assert fixed_points(s) == 0
-    lo, hi = sac_range(s)
-    assert lo == Fraction(116, 256) and hi == Fraction(144, 256)
+    report = analyze_sbox(s)
+    assert report.sac_min == Fraction(116, 256) and report.sac_max == Fraction(144, 256)
 
 
 def test_algebraic_complexity_sizes():
@@ -192,6 +189,16 @@ def test_analyze_small_sbox_has_no_ac():
     report = analyze_sbox(identity_sbox(4))
     assert report.ac is None
     assert '"ac": "n/a"' in report.to_json()
+
+
+@pytest.mark.parametrize("table", [(0, 1), (1, 0)])
+def test_analyze_two_entry_sbox_has_no_bic(table):
+    """One output bit leaves no pair of output bits for BIC to compare."""
+    report = analyze_sbox(SBox(table, 2))
+    assert report.bic_min is None and report.bic_max is None
+    assert report.sac_min == report.sac_max == 1
+    assert report.nl == 0 and report.ac is None
+    assert '"bic": "n/a"' in report.to_json()
 
 
 # --- sequence statistics -----------------------------------------------------

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecforge.cli import (
     EXIT_BAD_PARAMS,
@@ -227,6 +231,16 @@ def test_analyze_prn_kind(capsys, tmp_path):
     assert payload["histogram"] == {"0": 3, "1": 2, "2": 2}
 
 
+def test_analyze_two_entry_sbox(capsys, tmp_path):
+    box_file = tmp_path / "box.csv"
+    box_file.write_text("0,1\n")
+    code, out, err = run(capsys, "analyze", str(box_file))
+    assert code == EXIT_UNSUPPORTED_METRIC and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["bic"] == "n/a" and payload["ac"] == "n/a"
+    assert payload["nl"] == 0 and payload["fixed_points"] == 2
+
+
 def test_analyze_rejects_non_permutation(capsys, tmp_path):
     box_file = tmp_path / "box.csv"
     box_file.write_text("0,0,1,1\n")
@@ -284,12 +298,81 @@ def test_family_guard(capsys):
       "--m", "5", "--k", "5"], "shift k = 5"),
     (["gen-sbox", "--p", "11", "--class", "bogus", "--t", "2", "--ordering", "natural",
       "--set", "natural", "--m", "11"], "unknown curve class 'bogus'"),
+    (["gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural", "--set", "natural",
+      "--m", "1" + "0" * 30], "must lie in [1, p] = [1, 11]"),
 ], ids=["non-integer-p", "count-m-zero", "sbox-k-too-large", "prn-k-too-large",
-        "unknown-class"])
+        "unknown-class", "natural-set-m-too-large"])
 def test_invalid_parameters_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_PARAMS and out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("prn", "a,b"),
+    ("prn", '{"x":1}'),
+    ("prn", "{bad"),
+    ("prn", '{"values": 5}'),
+    ("prn", '{"values": [1.5, true]}'),
+    ("sbox", '{"table": [1, "a"]}'),
+    ("sbox", '{"table": [1.0, 0.0]}'),
+    ("sbox", '{"table": [0, 1], "m": "2"}'),
+    ("sbox", '{"table": [1, 0], "provenance": 5}'),
+], ids=["prn-csv-letters", "prn-json-no-values", "prn-json-broken", "prn-json-scalar",
+        "prn-json-non-integers", "sbox-json-string-entry", "sbox-json-float-entries",
+        "sbox-json-string-m", "sbox-json-scalar-provenance"])
+def test_malformed_analyze_input_exits_2(capsys, tmp_path, kind, text):
+    in_file = tmp_path / "input.txt"
+    in_file.write_text(text)
+    code, out, err = run(capsys, "analyze", str(in_file), "--kind", kind)
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert "malformed" in err and "Traceback" not in err
+
+
+# --- any flag values: an exit code of the contract, never a traceback -----------
+
+# Hypothesis favours the first entries of a pool, so the usable values lead.
+PRIMES = ["11", "5", "17", "29", "101", "2", "3", "7", "13", "31"]  # 7, 13, 31 are 1 mod 3
+HOSTILE = ["0", "-1", "-12", "102", "4096", "10" * 12, "abc", "", "c3"]
+SMALL = [str(v) for v in range(1, 12)]
+VALID = {"--p": PRIMES, "--b": SMALL, "--t": SMALL, "--m": SMALL, "--k": ["0", "1", "5"],
+         "--class": ["c1", "c2", "C2"], "--ordering": ["natural", "diffusion", "modulo"],
+         "--primes": ["5..101", "11..11", "7..3"], "--max-p": ["50", "5000"]}
+COMMANDS = {  # command: (flags always given, flags drawn)
+    "gen-sbox": (["--set", "natural"], ["--p", "--ordering", "--m", "--k"]),
+    "gen-prn": (["--A", "full"], ["--p", "--ordering", "--m", "--k"]),
+    "count": ([], ["--p", "--m"]),
+    "pstar": ([], ["--primes", "--ordering", "--max-p"]),
+    "family": (["--set", "natural"], ["--p", "--ordering", "--m", "--k", "--max-p"]),
+}
+CURVE_FLAGS = [["--b"], ["--class", "--t"], ["--b", "--t"]]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    fixed, flags = COMMANDS[command]
+    if command.startswith("gen-"):
+        flags = flags + draw(st.sampled_from(CURVE_FLAGS))
+    argv = [command] + fixed
+    for flag in flags:
+        if draw(st.sampled_from(["given"] * 9 + ["left out"])) == "given":
+            hostile = draw(st.sampled_from([False] * 3 + [True]))
+            argv += [flag, draw(st.sampled_from(HOSTILE if hostile else VALID[flag]))]
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=200, deadline=None)
+def test_main_keeps_exit_code_contract(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            assert exc.code == 2
+            return
+    assert code in {EXIT_OK, EXIT_BAD_PARAMS, EXIT_IO, EXIT_UNSUPPORTED_METRIC,
+                    EXIT_RANGE_TOO_LARGE}
 
 
 # --- environment guard --------------------------------------------------------------

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecforge.errors import BadModulus, DuplicateResidue, EmptySet, OutOfRange, TooLarge, WrongSize
+from mecforge.errors import (BadModulus, BadShift, DuplicateResidue, EmptySet, NotPermutation,
+                             OutOfRange, TooLarge, WrongSize, ZeroInverse)
 from mecforge.field import PrimeModulus
 from mecforge.generator import (
     CompleteSet,
+    SBox,
     count_sboxes,
     enumerate_family,
     pstar,
@@ -15,11 +17,12 @@ from mecforge.generator import (
     sbox_iso,
     sprn,
 )
-from mecforge.mec import CurveClass, MordellCurve, classify, iso_param_between, representative
+from mecforge.mec import CurveClass, MordellCurve, classify, representative
 from mecforge.ordering import Ordering
 
 from conftest import SMALL_ADMISSIBLE
-from oracles import count_complete_sets_exhaustive, sbox_trial_loop, sprn_trial_loop
+from oracles import (count_complete_sets_exhaustive, iso_param, sbox_transport, sbox_trial_loop,
+                     sprn_trial_loop)
 
 ALL_ORDERINGS = list(Ordering)
 
@@ -91,11 +94,28 @@ def test_sbox_iso_identity_parameter(mod11):
         sbox_direct(rep, Ordering.NATURAL, cs, 0).table
 
 
+def test_sbox_iso_errors(mod11):
+    rep = MordellCurve(mod11, 1)
+    cs = CompleteSet.natural(11, mod11)
+    with pytest.raises(ZeroInverse):
+        sbox_iso(rep, 0, Ordering.NATURAL, cs, 0)
+    with pytest.raises(BadShift):
+        sbox_iso(rep, 0, Ordering.NATURAL, cs, 11)  # the shift is checked first
+
+
+def test_sbox_rejects_non_permutation():
+    with pytest.raises(NotPermutation):
+        SBox((0, 0, 1), 3)
+    with pytest.raises(ValueError):
+        SBox((0, 1), 3)
+
+
 @given(st.sampled_from([p for p in SMALL_ADMISSIBLE if p >= 11]),
        st.sampled_from(ALL_ORDERINGS), st.data())
 @settings(max_examples=60, deadline=None)
 def test_three_paths_agree(p, kind, data):
-    """Direct path, isomorphism path and the trial-loop construction coincide."""
+    """Direct path, isomorphism path, the trial-loop construction and the
+    point transport from the class representative coincide."""
     modulus = PrimeModulus(p)
     b = data.draw(st.integers(1, p - 1))
     m = data.draw(st.integers(1, p))
@@ -110,9 +130,11 @@ def test_three_paths_agree(p, kind, data):
     assert direct.table == oracle.table
 
     rep_b = representative(modulus, classify(curve))
-    t = iso_param_between(rep_b, b, modulus)
+    t = iso_param(rep_b, b, p)
     via_iso = sbox_iso(MordellCurve(modulus, rep_b), modulus.inverse(t), kind, cs, k)
     assert via_iso.table == direct.table
+    assert via_iso.provenance == direct.provenance
+    assert sbox_transport(p, rep_b, t, kind, cs.elements, k).table == direct.table
 
 
 # --- SPRN --------------------------------------------------------------------
@@ -216,13 +238,13 @@ def test_family_collects_per_item_errors(mod11):
 
 
 def test_family_over_t_covers_all_curves(mod11):
+    """The representatives of both classes and t in [1, (p-1)/2] reach every curve."""
     cs = CompleteSet.natural(11, mod11)
     seen = set()
     for cls in (CurveClass.C1, CurveClass.C2):
-        result = enumerate_family(mod11, Ordering.NATURAL, cs, 0,
-                                  curve_class=cls, t_values=range(1, 6))
-        assert not result.errors
-        for sbox in result.sboxes:
+        rep = MordellCurve(mod11, representative(mod11, cls))
+        for t in range(1, 6):
+            sbox = sbox_iso(rep, mod11.inverse(t), Ordering.NATURAL, cs, 0)
             seen.add(sbox.provenance_dict()["b"])
     assert seen == set(range(1, 11))
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecforge.errors import TooLarge, ZeroParameter
+from mecforge.errors import BadCoefficient, MecforgeError, NotAdmissible, TooLarge
 from mecforge.field import PrimeModulus
 from mecforge.mec import (
     CurveClass,
@@ -10,15 +10,13 @@ from mecforge.mec import (
     MordellCurve,
     classify,
     enumerate_points,
-    iso_map_point,
-    iso_param_between,
     point_for_y,
     representative,
     x_for_y,
 )
 
 from conftest import SMALL_ADMISSIBLE
-from oracles import brute_force_points
+from oracles import brute_force_points, iso_map_point, iso_param
 
 admissible = st.sampled_from([p for p in SMALL_ADMISSIBLE if p > 3])
 
@@ -33,6 +31,12 @@ def test_curve_validation(mod11):
         MordellCurve(mod11, 0)
     with pytest.raises(ValueError):
         MordellCurve(PrimeModulus(7), 1)  # p = 1 (mod 3)
+    # both are package errors as well, so the CLI maps them to exit 2
+    with pytest.raises(BadCoefficient) as bad_b:
+        MordellCurve(mod11, 11)
+    with pytest.raises(NotAdmissible) as bad_p:
+        MordellCurve(PrimeModulus(13), 1)
+    assert isinstance(bad_b.value, MecforgeError) and isinstance(bad_p.value, MecforgeError)
 
 
 def test_x_for_y_examples(curve_11_1):
@@ -85,12 +89,12 @@ def test_classes_split_evenly(p):
 
 
 def test_iso_map_point_example(mod11):
-    image = iso_map_point(CurvePoint(0, 1), 2, mod11)
+    image = iso_map_point(CurvePoint(0, 1), 2, 11)
     assert image == CurvePoint(0, 8)
     assert MordellCurve(mod11, 9).contains(image)
-    assert iso_map_point(CurvePoint(5, 4), 1, mod11) == CurvePoint(5, 4)
-    with pytest.raises(ZeroParameter):
-        iso_map_point(CurvePoint(0, 1), 0, mod11)
+    assert iso_map_point(CurvePoint(5, 4), 1, 11) == CurvePoint(5, 4)
+    with pytest.raises(ValueError):
+        iso_map_point(CurvePoint(0, 1), 0, 11)
 
 
 @given(curves(), st.data())
@@ -103,18 +107,18 @@ def test_iso_map_is_class_preserving_bijection(curve, data):
     target = MordellCurve(modulus, b2)
     assert classify(target) is classify(curve)
     pts = enumerate_points(curve)
-    images = [iso_map_point(pt, t, modulus) for pt in pts]
+    images = [iso_map_point(pt, t, p) for pt in pts]
     assert all(target.contains(img) for img in images)
     assert len(set(images)) == len(pts)
     t_inv = modulus.inverse(t)
-    assert [iso_map_point(img, t_inv, modulus) for img in images] == pts
+    assert [iso_map_point(img, t_inv, p) for img in images] == pts
 
 
-def test_iso_param_between_examples(mod11):
-    assert iso_param_between(1, 9, mod11) == 2
-    assert iso_param_between(1, 2, mod11) is None
+def test_iso_param_between_examples():
+    assert iso_param(1, 9, 11) == 2
+    assert iso_param(1, 2, 11) is None
     for b in range(1, 11):
-        assert iso_param_between(b, b, mod11) == 1
+        assert iso_param(b, b, 11) == 1
 
 
 @given(admissible, st.data())
@@ -123,7 +127,7 @@ def test_iso_param_consistency(p, data):
     modulus = PrimeModulus(p)
     b1 = data.draw(st.integers(1, p - 1))
     b2 = data.draw(st.integers(1, p - 1))
-    t = iso_param_between(b1, b2, modulus)
+    t = iso_param(b1, b2, p)
     same_class = classify(MordellCurve(modulus, b1)) is classify(MordellCurve(modulus, b2))
     if t is None:
         assert not same_class

@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 from mecforge.field import PrimeModulus
 from mecforge.generator import CompleteSet
 from mecforge.mec import CurvePoint, MordellCurve, enumerate_points
-from mecforge.ordering import (
-    Ordering,
-    compare_points,
-    ordered_complete_set,
-    rank_of_y,
-    sort_points,
-    y_sequence,
-)
+from mecforge.ordering import Ordering, ordered_complete_set, rank_of_y, sort_key
 
 from conftest import SMALL_ADMISSIBLE
 from oracles import ordering_key
 
 ALL_ORDERINGS = list(Ordering)
+
+
+def sorted_ys(kind, points, modulus):
+    return [pt.y for pt in sorted(points, key=sort_key(kind, modulus))]
 
 
 def test_parse_names():
@@ -31,35 +28,42 @@ def test_parse_names():
 
 
 def test_compare_examples(mod11):
-    assert compare_points(Ordering.NATURAL, CurvePoint(0, 1), CurvePoint(0, 10), mod11) == -1
-    assert compare_points(Ordering.DIFFUSION, CurvePoint(10, 0), CurvePoint(9, 2), mod11) == -1
-    assert compare_points(Ordering.MODULO, CurvePoint(9, 2), CurvePoint(0, 1), mod11) == -1
+    for kind, first, second in [(Ordering.NATURAL, CurvePoint(0, 1), CurvePoint(0, 10)),
+                                (Ordering.DIFFUSION, CurvePoint(10, 0), CurvePoint(9, 2)),
+                                (Ordering.MODULO, CurvePoint(9, 2), CurvePoint(0, 1))]:
+        key = sort_key(kind, mod11)
+        assert key(first) < key(second)
 
 
 def test_sort_points_published_sequences(curve_11_1, mod11):
     pts = enumerate_points(curve_11_1)
-    assert y_sequence(sort_points(Ordering.NATURAL, pts, mod11)) == [1, 10, 3, 8, 4, 7, 5, 6, 2, 9, 0]
-    assert y_sequence(sort_points(Ordering.DIFFUSION, pts, mod11)) == [1, 3, 4, 10, 8, 0, 2, 7, 5, 6, 9]
-    assert y_sequence(sort_points(Ordering.MODULO, pts, mod11)) == [2, 1, 7, 5, 6, 3, 9, 4, 10, 8, 0]
+    assert sorted_ys(Ordering.NATURAL, pts, mod11) == [1, 10, 3, 8, 4, 7, 5, 6, 2, 9, 0]
+    assert sorted_ys(Ordering.DIFFUSION, pts, mod11) == [1, 3, 4, 10, 8, 0, 2, 7, 5, 6, 9]
+    assert sorted_ys(Ordering.MODULO, pts, mod11) == [2, 1, 7, 5, 6, 3, 9, 4, 10, 8, 0]
 
 
 @pytest.mark.parametrize("kind", ALL_ORDERINGS)
 @pytest.mark.parametrize("p", [11, 17, 29])
 def test_strict_total_order(kind, p):
     modulus = PrimeModulus(p)
+    key = sort_key(kind, modulus)
+
+    def compare(a, b):
+        return (key(a) > key(b)) - (key(a) < key(b))
+
     pts = enumerate_points(MordellCurve(modulus, 1))
     for a, b in itertools.combinations(pts, 2):
-        assert compare_points(kind, a, b, modulus) == -compare_points(kind, b, a, modulus)
-        assert compare_points(kind, a, b, modulus) != 0
+        assert compare(a, b) == -compare(b, a)
+        assert compare(a, b) != 0
     for a, b, c in itertools.islice(itertools.combinations(pts, 3), 200):
-        ab = compare_points(kind, a, b, modulus)
-        bc = compare_points(kind, b, c, modulus)
+        ab = compare(a, b)
+        bc = compare(b, c)
         if ab == bc:
-            assert compare_points(kind, a, c, modulus) == ab
+            assert compare(a, c) == ab
 
 
 def test_natural_sort_pairs_adjacent(curve_11_1, mod11):
-    pts = sort_points(Ordering.NATURAL, enumerate_points(curve_11_1), mod11)
+    pts = sorted(enumerate_points(curve_11_1), key=sort_key(Ordering.NATURAL, mod11))
     xs = [pt.x for pt in pts]
     assert xs == sorted(xs)
     # each x != x_of_y0 carries the conjugate pair (x, y), (x, p-y) adjacently
@@ -74,7 +78,7 @@ def test_rank_of_y_matches_full_sort(p, kind, data):
     modulus = PrimeModulus(p)
     b = data.draw(st.integers(1, p - 1))
     curve = MordellCurve(modulus, b)
-    full = y_sequence(sort_points(kind, enumerate_points(curve), modulus))
+    full = sorted_ys(kind, enumerate_points(curve), modulus)
     assert rank_of_y(kind, curve, range(p)) == full
     subset = data.draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p))
     ranked = rank_of_y(kind, curve, subset)
@@ -119,6 +123,6 @@ def test_ordered_complete_set_reference(curve_52511_1, reference_set_52511, gold
 def test_ordering_matches_oracle_keys(curve_11_1, mod11):
     pts = enumerate_points(curve_11_1)
     for kind in ALL_ORDERINGS:
-        ours = sort_points(kind, pts, mod11)
+        ours = sorted(pts, key=sort_key(kind, mod11))
         theirs = sorted([(pt.x, pt.y) for pt in pts], key=ordering_key(kind, 11))
         assert [(pt.x, pt.y) for pt in ours] == theirs
