@@ -8,6 +8,7 @@ not applicable to the input size, 5 exhaustive range too large.
 
 import argparse
 import json
+import pathlib
 import re
 import sys
 from typing import Optional, Sequence
@@ -65,7 +66,7 @@ def parse_integer_tokens(text: str) -> list[int]:
 
 def read_text(path: str) -> str:
     try:
-        return sys.stdin.read() if path == "-" else open(path).read()
+        return sys.stdin.read() if path == "-" else pathlib.Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
 
@@ -161,8 +162,12 @@ def parse_sequence(text: str) -> list[int]:
 
 # --- shared argument plumbing -------------------------------------------------
 
-def load_config(path: Optional[str]) -> dict:
-    """Flat key=value file mirroring the long flags."""
+def load_config(path: Optional[str], flags: dict[str, str]) -> dict:
+    """Flat key=value file mirroring the long flags.
+
+    `flags` maps the long name of each value-taking flag, with '-' read as
+    '_', to its argparse dest; any other key is an error.
+    """
     if not path:
         return {}
     config = {}
@@ -173,14 +178,28 @@ def load_config(path: Optional[str]) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        config[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip()
+        dest = flags.get(key.replace("-", "_"))
+        if dest is None:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}; "
+                           f"expected one of: {', '.join(sorted(flags))}")
+        config[dest] = value.strip()
     return config
 
 
 def merge_config(args: argparse.Namespace, config: dict) -> None:
-    for key, value in config.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    """Fill each flag not given on the command line from the config file."""
+    for dest, value in config.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
+def config_flags(parser: argparse.ArgumentParser) -> dict[str, str]:
+    """Config key -> dest for each value-taking long flag of `parser`
+    except --config itself."""
+    return {action.option_strings[-1][2:].replace("-", "_"): action.dest
+            for action in parser._actions
+            if action.option_strings and action.nargs != 0 and action.dest != "config"}
 
 
 def int_flag(args, name: str, default: Optional[int] = None) -> Optional[int]:
@@ -462,13 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also report pairwise correlation bounds")
     sp.set_defaults(func=cmd_family)
 
+    for sp in sub.choices.values():
+        sp.set_defaults(config_flags=config_flags(sp))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        merge_config(args, load_config(getattr(args, "config", None)))
+        merge_config(args, load_config(getattr(args, "config", None), args.config_flags))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,6 @@ class ZeroInput(MecforgeError):
     """Zero passed where a non-zero residue is required (QR test)."""
 
 
-class NonResidue(MecforgeError):
-    """Square root of a quadratic non-residue was requested."""
-
-
 class NotAdmissible(MecforgeError, ValueError):
     """Operation requires a prime p with p = 2 (mod 3)."""
 

@@ -1,13 +1,13 @@
 """Arithmetic over the prime field F_p.
 
-Includes quadratic-residue testing, modular square roots and the cube-root
-bijection that exists exactly when p = 2 (mod 3).  All values are canonical
-residues in [0, p-1]; all operations are pure.
+Includes quadratic-residue testing and the cube-root bijection that exists
+exactly when p = 2 (mod 3).  All values are canonical residues in [0, p-1];
+all operations are pure.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import NonResidue, NotAdmissible, NotCanonical, NotPrime, ZeroInput, ZeroInverse
+from .errors import NotAdmissible, NotCanonical, NotPrime, ZeroInput, ZeroInverse
 
 # Deterministic Miller-Rabin witness set, valid for every n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -59,12 +59,6 @@ class PrimeModulus:
             raise NotCanonical(f"{a} is not a canonical residue mod {self.p}")
         return a
 
-    def pow(self, base: int, exp: int) -> int:
-        """base^exp mod p for exp >= 0."""
-        if exp < 0:
-            raise ValueError("exponent must be non-negative")
-        return pow(self._check(base), exp, self.p)
-
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a, a != 0."""
         if self._check(a) == 0:
@@ -76,41 +70,6 @@ class PrimeModulus:
         if self._check(a) == 0:
             raise ZeroInput("0 is neither a QR nor a QNR")
         return pow(a, (self.p - 1) // 2, self.p) == 1
-
-    def sqrt(self, a: int) -> tuple[int, int]:
-        """Both square roots {r, p-r} of a quadratic residue a.
-
-        Uses the (p+1)/4 exponent when p = 3 (mod 4), Tonelli-Shanks
-        otherwise.  Returns (0, 0) for a = 0.
-        """
-        p = self.p
-        if self._check(a) == 0:
-            return (0, 0)
-        if not self.is_quadratic_residue(a):
-            raise NonResidue(f"{a} is not a quadratic residue mod {p}")
-        if p % 4 == 3:
-            r = pow(a, (p + 1) // 4, p)
-        else:
-            r = self._tonelli_shanks(a)
-        return (r, p - r) if r <= p - r else (p - r, r)
-
-    def _tonelli_shanks(self, a: int) -> int:
-        p = self.p
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = self.smallest_qnr()
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            t2, i = t, 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
 
     def cube_root(self, a: int) -> int:
         """The unique cube root of a; cubing is a bijection when p = 2 (mod 3).

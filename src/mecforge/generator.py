@@ -7,6 +7,7 @@ representative E_{p, b} and an isomorphism parameter, which only select the
 curve E_{p, t^6 b}.  Both build the table the same way.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -132,6 +133,9 @@ def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: i
     return SprnSequence(values, m, prov)
 
 
+MAX_COUNT_DIGITS = 4300
+
+
 def count_sboxes(modulus: PrimeModulus | int, m: int) -> tuple[int, int]:
     """Number of (m, p)-complete S-boxes a fixed ordered curve can emit.
 
@@ -139,25 +143,25 @@ def count_sboxes(modulus: PrimeModulus | int, m: int) -> tuple[int, int]:
     classes [0, r-1] and q for the rest, so per fixed shift there are
     (q+1)^r * q^(m-r) complete sets; the total additionally ranges over the
     m shifts.
+
+    Raises TooLarge when the total has more than MAX_COUNT_DIGITS decimal
+    digits, CPython's default limit on int-to-str conversion.  Its base-10
+    logarithm, with a digit to spare for rounding, refuses a total far past
+    the limit before any power is taken (at p near 10^9 it can have 10^8
+    digits); the exact comparison decides the rest.
     """
     p = modulus.p if isinstance(modulus, PrimeModulus) else modulus
     if not 1 <= m <= p:
         raise BadModulus(f"m = {m} must lie in [1, p]")
     q, r = divmod(p, m)
-    per_k = (q + 1) ** r * q ** (m - r)
-    return per_k, m * per_k
+    if math.log10(m) + r * math.log10(q + 1) + (m - r) * math.log10(q) < MAX_COUNT_DIGITS + 1:
+        per_k = (q + 1) ** r * q ** (m - r)
+        if m * per_k < 10 ** MAX_COUNT_DIGITS:
+            return per_k, m * per_k
+    raise TooLarge(f"the count at p = {p}, m = {m} has more than {MAX_COUNT_DIGITS} digits")
 
 
 DEFAULT_MAX_PSTAR_P = 2000
-
-
-def _natural_permutations(modulus: PrimeModulus, kind: Ordering) -> list[list[int]]:
-    """Full y-permutation of every curve over p, in curve order."""
-    perms = []
-    for b in range(1, modulus.p):
-        curve = MordellCurve(modulus, b)
-        perms.append(rank_of_y(kind, curve, range(modulus.p)))
-    return perms
 
 
 def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_P) -> int:
@@ -168,30 +172,17 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
 
     A collision at m filters down to every m' < m (the m'-sequence is a
     subsequence filter of the m-sequence), so the collision predicate is
-    monotone and the largest colliding m can be found by bisection.
+    monotone and the largest colliding m is one less than the first m at
+    which every curve's S-box differs.
     """
     p = modulus.p
     if p > max_p:
         raise TooLarge(f"p = {p} exceeds the exhaustive guard {max_p}")
-    perms = _natural_permutations(modulus, kind)
-
-    def has_collision(m: int) -> bool:
-        seen = set()
-        for perm in perms:
-            key = tuple(y for y in perm if y < m)
-            if key in seen:
-                return True
-            seen.add(key)
-        return False
-
-    best, lo, hi = 0, 1, p - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if has_collision(mid):
-            best, lo = mid, mid + 1
-        else:
-            hi = mid - 1
-    return best
+    curves = [MordellCurve(modulus, b) for b in range(1, p)]
+    for m in range(1, p):
+        if len({tuple(rank_of_y(kind, curve, range(m))) for curve in curves}) == len(curves):
+            return m - 1
+    return p - 1
 
 
 @dataclass

@@ -41,22 +41,20 @@ def _sbox_from_points(points: list[tuple[int, int]], p: int, kind: Ordering, k: 
     return SBox(tuple(seq[(i + k) % m] for i in range(m)), m)
 
 
-def sbox_trial_loop(p: int, b: int, kind: Ordering, elements, k: int) -> SBox:
-    """S-box built exactly as the O(mp) construction prescribes.
+def trial_point(p: int, b: int, y: int) -> tuple[int, int]:
+    """The point (x, y) of E_{p, b}, x found by trying every x in [0, p-1]
+    until the curve equation holds; no cube roots."""
+    target = (y * y - b) % p
+    for x in range(p):
+        if (x * x % p) * x % p == target:
+            return (x, y)
+    raise AssertionError(f"no x found for y={y}")
 
-    For each seed y the x-partner is found by trying every x in [0, p-1]
-    until the curve equation holds; no cube roots.
-    """
-    points = []
-    for y in elements:
-        target = (y * y - b) % p
-        for x in range(p):
-            if (x * x % p) * x % p == target:
-                points.append((x, y))
-                break
-        else:
-            raise AssertionError(f"no x found for y={y}")
-    return _sbox_from_points(points, p, kind, k)
+
+def sbox_trial_loop(p: int, b: int, kind: Ordering, elements, k: int) -> SBox:
+    """S-box built exactly as the O(mp) construction prescribes: each seed
+    y's x-partner is found by trial."""
+    return _sbox_from_points([trial_point(p, b, y) for y in elements], p, kind, k)
 
 
 def iso_map_point(point: tuple[int, int], t: int, p: int) -> tuple[int, int]:
@@ -93,16 +91,27 @@ def sbox_transport(p: int, b_rep: int, t: int, kind: Ordering, elements, k: int)
 
 
 def sprn_trial_loop(p: int, b: int, kind: Ordering, y_set, m: int, k: int) -> list[int]:
-    points = []
-    for y in sorted(set(y_set)):
-        target = (y * y - b) % p
-        for x in range(p):
-            if (x * x % p) * x % p == target:
-                points.append((x, y))
-                break
-    points.sort(key=ordering_key(kind, p))
+    points = sorted((trial_point(p, b, y) for y in set(y_set)), key=ordering_key(kind, p))
     n = len(points)
     return [points[(i + k) % n][1] % m for i in range(n)]
+
+
+def pstar_direct(p: int, kind: Ordering) -> int:
+    """Largest m in [1, p-1] at which two curves E_{p, b} emit the same
+    natural S-box, 0 if there is none.
+
+    Each curve's points are found by trial and sorted whole; every m is
+    tested, with no assumption that collisions are monotone in m.
+    """
+    key = ordering_key(kind, p)
+    perms = [[y for _, y in sorted((trial_point(p, b, y) for y in range(p)), key=key)]
+             for b in range(1, p)]
+    best = 0
+    for m in range(1, p):
+        filtered = [tuple(y for y in perm if y < m) for perm in perms]
+        if len(set(filtered)) < len(filtered):
+            best = m
+    return best
 
 
 def count_complete_sets_exhaustive(p: int, m: int) -> int:

@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from mecforge.cli import (
     parse_integer_tokens,
     parse_sbox,
     parse_sequence,
+    read_text,
 )
 from mecforge.errors import TooLarge
 from mecforge.generator import SBox, SprnSequence
@@ -161,6 +164,50 @@ def test_config_file_fills_missing_flags(capsys, tmp_path):
     assert out.strip() == "10,3,8,4,7,5,6,2,9,0,1"
 
 
+def test_config_keys_are_long_flag_names(capsys, tmp_path):
+    cfg = tmp_path / "iso.cfg"
+    cfg.write_text("p = 11\nclass = c1\nt = 2\nordering = natural\nset = natural\nm = 11\n")
+    code, out, _ = run(capsys, "gen-sbox", "--config", str(cfg))
+    assert code == EXIT_OK
+    assert out == run(capsys, "gen-sbox", "--p", "11", "--class", "c1", "--t", "2",
+                      "--ordering", "natural", "--set", "natural", "--m", "11")[1]
+    # an explicit flag wins over the same key in the config file
+    explicit = run(capsys, "gen-sbox", "--config", str(cfg), "--t", "1")[1]
+    assert explicit != out
+    assert explicit == run(capsys, "gen-sbox", "--p", "11", "--class", "c1", "--t", "1",
+                           "--ordering", "natural", "--set", "natural", "--m", "11")[1]
+    cfg.write_text("primes = 11..11\nordering = natural\nmax-p = 10\n")
+    code, _, err = run(capsys, "pstar", "--config", str(cfg))
+    assert code == EXIT_RANGE_TOO_LARGE and "guard 10" in err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("gen-sbox", "kk = 3"),
+    ("gen-sbox", "func = x"),
+    ("gen-sbox", "curve_class = c1"),
+    ("gen-sbox", "config = other.cfg"),
+    ("family", "correlation = 1"),
+    ("count", "ordering = natural"),
+], ids=["typo", "func", "dest-not-flag", "config", "switch", "flag-of-other-command"])
+def test_config_rejects_unknown_keys(capsys, tmp_path, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p = 11\nm = 11\n{line}\n")
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    key = line.split("=")[0].strip()
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert f"unknown key {key!r}" in err and "Traceback" not in err
+
+
+def test_read_text_closes_file(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("0 1 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert read_text(str(path)) == "0 1 2\n"
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 # --- gen-prn --------------------------------------------------------------------
 
 def test_gen_prn_published_sequence(capsys):
@@ -255,6 +302,13 @@ def test_count_published(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["per_k"] == 128 and payload["total"] == 32768
+
+
+@pytest.mark.parametrize("p, m", [("52511", "5000"), ("1000000007", "500000004")])
+def test_count_too_long_to_print_exits_5(capsys, p, m):
+    code, out, err = run(capsys, "count", "--p", p, "--m", m)
+    assert code == EXIT_RANGE_TOO_LARGE and out == ""
+    assert err.count("\n") == 1 and "more than 4300 digits" in err
 
 
 def test_pstar_range(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecforge.errors import NonResidue, NotAdmissible, NotPrime, ZeroInput, ZeroInverse
+from mecforge.errors import NotAdmissible, NotPrime, ZeroInput, ZeroInverse
 from mecforge.field import PrimeModulus, is_prime
 
 from conftest import SMALL_ADMISSIBLE
@@ -35,13 +35,6 @@ def test_is_prime_samples():
     assert not is_prime(3215031751)
 
 
-def test_mod_pow():
-    m = PrimeModulus(11)
-    assert m.pow(2, 5) == 10
-    assert m.pow(3, 0) == 1
-    assert m.pow(7, 10) == 1  # Fermat
-
-
 def test_mod_inverse():
     m = PrimeModulus(11)
     assert m.inverse(1) == 1
@@ -65,34 +58,6 @@ def test_quadratic_residue_brute_force():
 def test_qr_count_is_half(p):
     m = PrimeModulus(p)
     assert sum(m.is_quadratic_residue(a) for a in range(1, p)) == (p - 1) // 2
-
-
-def test_sqrt_examples():
-    m = PrimeModulus(11)
-    assert m.sqrt(9) == (3, 8)
-    assert m.sqrt(5) == (4, 7)
-    assert m.sqrt(0) == (0, 0)
-    with pytest.raises(NonResidue):
-        m.sqrt(2)
-
-
-@given(admissible, st.data())
-def test_sqrt_roots_square_back(p, data):
-    m = PrimeModulus(p)
-    a = data.draw(st.integers(1, p - 1))
-    if m.is_quadratic_residue(a):
-        r1, r2 = m.sqrt(a)
-        assert r1 * r1 % p == a and r2 * r2 % p == a
-        assert r1 + r2 == p
-
-
-def test_sqrt_tonelli_shanks_path():
-    # p = 1 (mod 4) forces the general algorithm
-    m = PrimeModulus(29)
-    for a in range(1, 29):
-        if m.is_quadratic_residue(a):
-            r1, r2 = m.sqrt(a)
-            assert r1 * r1 % 29 == a and r2 * r2 % 29 == a
 
 
 def test_cube_root_examples():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mecforge.errors import (BadModulus, BadShift, DuplicateResidue, EmptySet, NotPermutation,
                              OutOfRange, TooLarge, WrongSize, ZeroInverse)
-from mecforge.field import PrimeModulus
+from mecforge.field import PrimeModulus, is_prime
 from mecforge.generator import (
     CompleteSet,
     SBox,
@@ -21,8 +21,8 @@ from mecforge.mec import CurveClass, MordellCurve, classify, representative
 from mecforge.ordering import Ordering
 
 from conftest import SMALL_ADMISSIBLE
-from oracles import (count_complete_sets_exhaustive, iso_param, sbox_transport, sbox_trial_loop,
-                     sprn_trial_loop)
+from oracles import (count_complete_sets_exhaustive, iso_param, pstar_direct, sbox_transport,
+                     sbox_trial_loop, sprn_trial_loop)
 
 ALL_ORDERINGS = list(Ordering)
 
@@ -200,21 +200,27 @@ def test_count_no_overflow():
     assert total == 256 * per_k
 
 
+def test_count_refuses_totals_too_long_to_print():
+    # At p = 52511 the total first exceeds CPython's 4300-digit int-to-str
+    # limit at m = 3748; the count just below it still prints.
+    per_k, total = count_sboxes(52511, 3747)
+    assert len(str(total)) == 4300 and total == 3747 * per_k
+    with pytest.raises(TooLarge):
+        count_sboxes(52511, 3748)
+    with pytest.raises(TooLarge):  # about 1.5e8 digits: refused before any power
+        count_sboxes(1000000007, 500000004)
+
+
 # --- pstar and families ------------------------------------------------------
 
-def test_pstar_exhaustive_small():
-    modulus = PrimeModulus(11)
-    value = pstar(modulus, Ordering.NATURAL)
-    # brute-force reference: largest m at which two curves collide
-    from mecforge.ordering import rank_of_y
-    perms = [rank_of_y(Ordering.NATURAL, MordellCurve(modulus, b), range(11))
-             for b in range(1, 11)]
-    expected = 0
-    for m in range(1, 11):
-        filtered = [tuple(y for y in perm if y < m) for perm in perms]
-        if len(set(filtered)) < len(filtered):
-            expected = m
-    assert value == expected
+PSTAR_CASES = [(p, kind) for p in range(5, 54) if is_prime(p) and p % 3 == 2
+               for kind in ALL_ORDERINGS]
+
+
+@pytest.mark.parametrize("p, kind", PSTAR_CASES,
+                         ids=[f"{p}-{kind.value}" for p, kind in PSTAR_CASES])
+def test_pstar_exhaustive_small(p, kind):
+    assert pstar(PrimeModulus(p), kind) == pstar_direct(p, kind)
 
 
 def test_pstar_guard():
