@@ -2,7 +2,7 @@
 curves over F_p (p = 2 mod 3), plus the standard cryptographic test battery."""
 
 from .field import PrimeModulus, is_prime
-from .mec import CurveClass, CurvePoint, MordellCurve, classify, enumerate_points, representative
+from .mec import CurveClass, MordellCurve, representative
 from .ordering import Ordering
 from .generator import (
     CompleteSet,
@@ -21,18 +21,15 @@ __all__ = [
     "AnalysisReport",
     "CompleteSet",
     "CurveClass",
-    "CurvePoint",
     "MordellCurve",
     "Ordering",
     "PrimeModulus",
     "SBox",
     "SprnSequence",
     "analyze_sbox",
-    "classify",
     "count_sboxes",
     "entropy",
     "enumerate_family",
-    "enumerate_points",
     "histogram",
     "is_prime",
     "period",

@@ -1,8 +1,9 @@
 """Cryptographic quality metrics for S-boxes and randomness tests for sequences.
 
-S-box metrics (nonlinearity, linear/differential approximation probability,
-algebraic complexity, avalanche and bit-independence matrices) require the
-table size to be a power of two; probabilities are exact fractions.
+`analyze_sbox` reports the S-box metrics together: nonlinearity, linear and
+differential approximation probability, algebraic complexity and the ranges
+of the avalanche and bit-independence matrices.  They require the table size
+to be a power of two; probabilities are exact fractions.
 Sequence tests (histogram, entropy, period) apply to any finite sequence.
 """
 
@@ -15,7 +16,7 @@ from statistics import correlation as _pearson
 from typing import Optional, Sequence
 
 from . import gf256
-from .errors import EmptySequence, NotPowerOfTwo, SizeMismatch, UnsupportedSize
+from .errors import EmptySequence, NotPowerOfTwo, SizeMismatch
 from .generator import SBox, SprnSequence
 
 
@@ -85,24 +86,6 @@ def _bic(derivatives: list[list[int]]) -> list[list[Optional[Fraction]]]:
     return matrix
 
 
-def _planes(sbox: SBox) -> tuple[list[int], list[int]]:
-    """Bit planes of the S-box's outputs and of its inputs x."""
-    n = _nbits(sbox)
-    return _bit_planes(sbox.table, n), _bit_planes(range(sbox.m), n)
-
-
-def nonlinearity(sbox: SBox) -> int:
-    """Minimum distance of any non-trivial component function to the affine functions."""
-    outputs, inputs = _planes(sbox)
-    return (1 << (len(inputs) - 1)) - _max_abs_walsh(outputs, inputs) // 2
-
-
-def lap(sbox: SBox) -> Fraction:
-    """Max bias of any linear approximation, over all input masks and non-zero output masks."""
-    outputs, inputs = _planes(sbox)
-    return Fraction(_max_abs_walsh(outputs, inputs), 1 << (len(inputs) + 1))
-
-
 def dap(sbox: SBox) -> Fraction:
     """Largest differential propagation probability over non-zero input differences."""
     n = _nbits(sbox)
@@ -115,26 +98,6 @@ def dap(sbox: SBox) -> Fraction:
             counts[table[x ^ dx] ^ table[x]] += 1
         best = max(best, max(counts))
     return Fraction(best, 1 << n)
-
-
-def algebraic_complexity(sbox: SBox, reduction_poly: int = gf256.DEFAULT_POLY) -> int:
-    """Number of non-zero coefficients of the S-box interpolated over GF(2^8)."""
-    if sbox.m != 256:
-        raise UnsupportedSize("algebraic complexity is defined for 256-entry S-boxes")
-    coeffs = gf256.interpolate(list(sbox.table), reduction_poly)
-    return sum(1 for c in coeffs if c)
-
-
-def sac_matrix(sbox: SBox) -> list[list[Fraction]]:
-    """entry[i][j]: probability that flipping input bit j flips output bit i."""
-    return _sac(_derivative_planes(*_planes(sbox)))
-
-
-def bic_matrix(sbox: SBox) -> list[list[Optional[Fraction]]]:
-    """entry[i][r]: avalanche probability of output-bit pair (i, r), averaged
-    over all single-bit input flips.  Diagonal entries are None.
-    """
-    return _bic(_derivative_planes(*_planes(sbox)))
 
 
 def _span(matrix) -> tuple[Optional[Fraction], Optional[Fraction]]:
@@ -195,8 +158,8 @@ def analyze_sbox(sbox: SBox) -> AnalysisReport:
     The bit planes, the Walsh spectrum's maximum and the derivative table are
     each built once and shared by the metrics that read them.
     """
-    outputs, inputs = _planes(sbox)
-    n = len(inputs)
+    n = _nbits(sbox)
+    outputs, inputs = _bit_planes(sbox.table, n), _bit_planes(range(sbox.m), n)
     walsh = _max_abs_walsh(outputs, inputs)
     derivatives = _derivative_planes(outputs, inputs)
     sac_lo, sac_hi = _span(_sac(derivatives))
@@ -205,7 +168,7 @@ def analyze_sbox(sbox: SBox) -> AnalysisReport:
         nl=(1 << (n - 1)) - walsh // 2,
         lap=Fraction(walsh, 1 << (n + 1)),
         dap=dap(sbox),
-        ac=algebraic_complexity(sbox) if sbox.m == 256 else None,
+        ac=sum(1 for c in gf256.interpolate(sbox.table) if c) if sbox.m == 256 else None,
         sac_min=sac_lo,
         sac_max=sac_hi,
         bic_min=bic_lo,
@@ -218,12 +181,6 @@ def analyze_sbox(sbox: SBox) -> AnalysisReport:
 class Histogram:
     frequencies: dict[int, int]
     length: int
-
-    def frequency(self, symbol: int) -> int:
-        return self.frequencies.get(symbol, 0)
-
-    def is_uniform(self) -> bool:
-        return len(set(self.frequencies.values())) == 1
 
 
 def histogram(seq: SprnSequence | Sequence[int]) -> Histogram:

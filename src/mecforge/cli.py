@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, data
-from .errors import MecforgeError, NotPrime, TooLarge, UnsupportedSize
+from .errors import MecforgeError, NotPrime, TooLarge
 from .field import PrimeModulus
 from .generator import (
     CompleteSet,
@@ -24,7 +24,6 @@ from .generator import (
     enumerate_family,
     pstar,
     sbox_direct,
-    sbox_iso,
     sprn,
 )
 from .mec import CurveClass, MordellCurve, representative
@@ -35,6 +34,10 @@ EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
 EXIT_UNSUPPORTED_METRIC = 4
 EXIT_RANGE_TOO_LARGE = 5
+
+# gen-prn --A full orders every y in [0, p-1], at about 230 bytes of memory
+# each: about 1 GB at this bound.
+MAX_FULL_A_P = 1 << 22
 
 
 class CliError(MecforgeError):
@@ -225,8 +228,9 @@ def require_modulus(args) -> PrimeModulus:
     return modulus
 
 
-def resolve_curve(args, modulus: PrimeModulus) -> tuple[MordellCurve, Optional[int]]:
-    """Explicit-b curve, or (representative curve, t) for the isomorphism path."""
+def resolve_curve(args, modulus: PrimeModulus) -> MordellCurve:
+    """The curve E_{p, b} of --b, or E_{p, t^6 b} for the representative b of
+    --class and the isomorphism parameter --t."""
     has_b = args.b is not None
     has_class = getattr(args, "curve_class", None) is not None or getattr(args, "t", None) is not None
     if has_b == has_class:
@@ -235,7 +239,7 @@ def resolve_curve(args, modulus: PrimeModulus) -> tuple[MordellCurve, Optional[i
         b = int_flag(args, "b")
         if not 1 <= b <= modulus.p - 1:
             raise CliError(f"b must lie in [1, p-1], got {b}")
-        return MordellCurve(modulus, b), None
+        return MordellCurve(modulus, b)
     if args.curve_class is None or args.t is None:
         raise CliError("--class and --t must be given together")
     try:
@@ -245,7 +249,8 @@ def resolve_curve(args, modulus: PrimeModulus) -> tuple[MordellCurve, Optional[i
     t = int_flag(args, "t")
     if not 1 <= t <= (modulus.p - 1) // 2:
         raise CliError(f"t must lie in [1, (p-1)/2], got {t}")
-    return MordellCurve(modulus, representative(modulus, cls)), t
+    b = pow(t, 6, modulus.p) * representative(modulus, cls) % modulus.p
+    return MordellCurve(modulus, b)
 
 
 def resolve_complete_set(args, modulus: PrimeModulus) -> CompleteSet:
@@ -275,12 +280,9 @@ def cmd_gen_sbox(args) -> int:
     modulus = require_modulus(args)
     kind = parse_ordering(args)
     complete_set = resolve_complete_set(args, modulus)
-    curve, t = resolve_curve(args, modulus)
+    curve = resolve_curve(args, modulus)
     k = int_flag(args, "k", 0)
-    if t is None:
-        sbox = sbox_direct(curve, kind, complete_set, k)
-    else:
-        sbox = sbox_iso(curve, modulus.inverse(t), kind, complete_set, k)
+    sbox = sbox_direct(curve, kind, complete_set, k)
     print(f"sbox p={sbox.provenance_dict()['p']} b={sbox.provenance_dict()['b']} "
           f"ordering={kind.value} m={sbox.m} k={k}", file=sys.stderr)
     write_output(format_sbox(sbox, args.format or "hex"), args.out)
@@ -290,12 +292,13 @@ def cmd_gen_sbox(args) -> int:
 def cmd_gen_prn(args) -> int:
     modulus = require_modulus(args)
     kind = parse_ordering(args)
-    curve, t = resolve_curve(args, modulus)
-    if t is not None:
-        curve = MordellCurve(modulus, pow(t, 6, modulus.p) * curve.b % modulus.p)
+    curve = resolve_curve(args, modulus)
     if args.A is None:
         raise CliError("--A is required (a file path or 'full')")
     if args.A == "full":
+        if modulus.p > MAX_FULL_A_P:
+            raise CliError(f"p = {modulus.p} too large for --A full (at most {MAX_FULL_A_P})",
+                           EXIT_RANGE_TOO_LARGE)
         y_set = range(modulus.p)
     else:
         y_set = parse_integer_tokens(read_text(args.A))
@@ -497,9 +500,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE_TOO_LARGE
-    except UnsupportedSize as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED_METRIC
     except MecforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

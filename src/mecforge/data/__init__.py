@@ -7,11 +7,6 @@ def _read(name: str) -> str:
     return resources.files(__package__).joinpath(name).read_text()
 
 
-def aes_sbox() -> list[int]:
-    """The standard AES S-box (reference row for the analysis battery)."""
-    return [int(tok, 16) for tok in _read("aes_sbox.txt").split()]
-
-
 def reference_complete_set_52511() -> list[int]:
     """The published 256-element complete set over p = 52511."""
     return [int(tok, 16) for tok in _read("complete_set_52511.txt").split()]

@@ -77,10 +77,6 @@ class NotPowerOfTwo(MecforgeError):
     """Metric requires an S-box whose size is a power of two."""
 
 
-class UnsupportedSize(MecforgeError):
-    """Metric is only defined for 256-entry S-boxes."""
-
-
 class SizeMismatch(MecforgeError):
     """Two S-boxes of different sizes were compared."""
 

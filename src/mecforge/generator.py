@@ -8,14 +8,15 @@ curve E_{p, t^6 b}.  Both build the table the same way.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (BadModulus, BadShift, DuplicateResidue, EmptySet, NotPermutation,
                      OutOfRange, TooLarge, WrongSize)
 from .field import PrimeModulus
 from .mec import MordellCurve
-from .ordering import Ordering, ordered_complete_set, rank_of_y
+from .ordering import Ordering, rank_of_y
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,21 @@ def _check_shift(k: int, m: int) -> None:
         raise BadShift(f"shift k = {k} must lie in [0, m-1]")
 
 
-def _shift(seq: Sequence[int], k: int) -> tuple[int, ...]:
-    n = len(seq)
-    return tuple(seq[(i + k) % n] for i in range(n))
+def _order_shift_reduce(curve: MordellCurve, kind: Ordering, ys: Iterable[int],
+                        m: int, k: int) -> tuple[int, ...]:
+    """The ys in the order `curve` imposes on their points, rotated left by
+    k < |ys| and reduced mod m: entry i is the ((i + k) mod |ys|)-th ordered y."""
+    ordered = rank_of_y(kind, curve, ys)
+    return tuple(y % m for y in ordered[k:] + ordered[:k])
 
 
 def _sbox(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
-    """The one S-box construction: order the complete set on `curve`, then shift."""
+    """The one S-box construction: each residue of [0, m-1] takes the curve
+    position of the set element congruent to it, and the table is shifted by k."""
     m = complete_set.m
-    seq = ordered_complete_set(kind, curve, complete_set)
     prov = (("p", curve.p), ("b", curve.b), ("ordering", kind.value),
             ("set", "explicit"), ("m", m), ("k", k))
-    return SBox(_shift(seq, k), m, prov)
+    return SBox(_order_shift_reduce(curve, kind, complete_set.elements, m, k), m, prov)
 
 
 def sbox_direct(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
@@ -125,12 +129,9 @@ def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: i
     if not 1 <= m <= len(ys):
         raise BadModulus(f"m = {m} must lie in [1, |A|] = [1, {len(ys)}]")
     _check_shift(k, m)
-    ordered = rank_of_y(kind, curve, ys)
-    n = len(ordered)
-    values = tuple(ordered[(i + k) % n] % m for i in range(n))
     prov = (("p", curve.p), ("b", curve.b), ("ordering", kind.value),
-            ("A_size", n), ("m", m), ("k", k))
-    return SprnSequence(values, m, prov)
+            ("A_size", len(ys)), ("m", m), ("k", k))
+    return SprnSequence(_order_shift_reduce(curve, kind, ys, m, k), m, prov)
 
 
 MAX_COUNT_DIGITS = 4300
@@ -144,21 +145,24 @@ def count_sboxes(modulus: PrimeModulus | int, m: int) -> tuple[int, int]:
     (q+1)^r * q^(m-r) complete sets; the total additionally ranges over the
     m shifts.
 
-    Raises TooLarge when the total has more than MAX_COUNT_DIGITS decimal
-    digits, CPython's default limit on int-to-str conversion.  Its base-10
-    logarithm, with a digit to spare for rounding, refuses a total far past
-    the limit before any power is taken (at p near 10^9 it can have 10^8
-    digits); the exact comparison decides the rest.
+    Raises TooLarge when the total has more decimal digits than the
+    interpreter's limit on int-to-str conversion, or than MAX_COUNT_DIGITS
+    (CPython's default) where that limit is off.  Its base-10 logarithm,
+    with a digit to spare for rounding, refuses a total far past the limit
+    before any power is taken (at p near 10^9 it can have 10^8 digits); the
+    exact comparison decides the rest.
     """
     p = modulus.p if isinstance(modulus, PrimeModulus) else modulus
     if not 1 <= m <= p:
         raise BadModulus(f"m = {m} must lie in [1, p]")
+    # CPython before 3.10.7 has neither the limit nor this function: read it as off.
+    digits = getattr(sys, "get_int_max_str_digits", int)() or MAX_COUNT_DIGITS
     q, r = divmod(p, m)
-    if math.log10(m) + r * math.log10(q + 1) + (m - r) * math.log10(q) < MAX_COUNT_DIGITS + 1:
+    if math.log10(m) + r * math.log10(q + 1) + (m - r) * math.log10(q) < digits + 1:
         per_k = (q + 1) ** r * q ** (m - r)
-        if m * per_k < 10 ** MAX_COUNT_DIGITS:
+        if m * per_k < 10 ** digits:
             return per_k, m * per_k
-    raise TooLarge(f"the count at p = {p}, m = {m} has more than {MAX_COUNT_DIGITS} digits")
+    raise TooLarge(f"the count at p = {p}, m = {m} has more than {digits} digits")
 
 
 DEFAULT_MAX_PSTAR_P = 2000

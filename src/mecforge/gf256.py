@@ -1,66 +1,28 @@
-"""GF(2^8) arithmetic and univariate polynomial interpolation.
+"""Univariate polynomial interpolation over GF(2^8).
 
-Multiplication uses log/antilog tables built for the chosen reduction
-polynomial (default 0x11B, the one under which the AES S-box has the
-classic 9-term algebraic expression).
+The field is fixed at the reduction polynomial 0x11B, the one under which
+the AES S-box has the classic 9-term algebraic expression.  Its log/antilog
+tables are built once, at import.
 """
 
-from functools import lru_cache
-
-DEFAULT_POLY = 0x11B
+_POLY = 0x11B
 
 
-def _raw_mul(a: int, b: int, poly: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        if a & 0x100:
-            a ^= poly
-        b >>= 1
-    return r
+def _tables() -> tuple[list[int], list[int]]:
+    """(log, exp) tables over the generator 3 = x + 1 of the multiplicative group."""
+    log, exp = [0] * 256, []
+    x = 1
+    for i in range(255):
+        log[x] = i
+        exp.append(x)
+        x ^= (x << 1) ^ (_POLY if x & 0x80 else 0)  # x * 3 = x * 2 + x
+    return log, exp
 
 
-@lru_cache(maxsize=None)
-def _tables(poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(log, exp) tables over a generator of the multiplicative group."""
-    for g in range(2, 256):
-        exp = [1]
-        x = 1
-        for _ in range(254):
-            x = _raw_mul(x, g, poly)
-            exp.append(x)
-        if len(set(exp)) == 255:
-            log = [0] * 256
-            for i, v in enumerate(exp):
-                log[v] = i
-            return tuple(log), tuple(exp)
-    raise ValueError(f"0x{poly:X} is not a valid GF(2^8) reduction polynomial")
+_LOG, _EXP = _tables()
 
 
-def mul(a: int, b: int, poly: int = DEFAULT_POLY) -> int:
-    if a == 0 or b == 0:
-        return 0
-    log, exp = _tables(poly)
-    return exp[(log[a] + log[b]) % 255]
-
-
-def inv(a: int, poly: int = DEFAULT_POLY) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(2^8)")
-    log, exp = _tables(poly)
-    return exp[(255 - log[a]) % 255]
-
-
-def gf_pow(a: int, e: int, poly: int = DEFAULT_POLY) -> int:
-    if a == 0:
-        return 0 if e else 1
-    log, exp = _tables(poly)
-    return exp[log[a] * e % 255]
-
-
-def interpolate(values: list[int], poly: int = DEFAULT_POLY) -> list[int]:
+def interpolate(values: list[int]) -> list[int]:
     """Coefficients of the unique polynomial with P(i) = values[i] for all i in [0, 255].
 
     Closed form over GF(q), q = 256 (Lidl & Niederreiter, Finite Fields,
@@ -69,19 +31,18 @@ def interpolate(values: list[int], poly: int = DEFAULT_POLY) -> list[int]:
     """
     if len(values) != 256:
         raise ValueError("interpolation is defined on all 256 field points")
-    log, exp = _tables(poly)
     # cycle[e] = g^(e mod 255) for every e < 255^2.  For each x != 0 the
     # terms f(x) * x^-d = g^(log f(x) + d * (255 - log x)), d = 1..254, are
     # then one strided slice of it; summing them over x is XOR of the slices
     # read as 254-byte integers, whose byte d - 1 is c_d.
-    cycle = bytes(exp) * 255
+    cycle = bytes(_EXP) * 255
     middle = 0
     total = values[0]
     for x in range(1, 256):
         y = values[x]
         if y:
             total ^= y
-            step = 255 - log[x]
-            start = log[y] + step
+            step = 255 - _LOG[x]
+            start = _LOG[y] + step
             middle ^= int.from_bytes(cycle[start:start + 254 * step:step], "little")
     return [values[0], *middle.to_bytes(254, "little"), total]

@@ -9,24 +9,16 @@ class and a parameter t only select the curve E_{p, t^6 b} for the class
 representative b.
 """
 
-import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
 
-from .errors import BadCoefficient, NotAdmissible, TooLarge
+from .errors import BadCoefficient, NotAdmissible
 from .field import PrimeModulus
-
-DEFAULT_MAX_ENUM_P = 1 << 26
-
-
-class CurvePoint(NamedTuple):
-    x: int
-    y: int
 
 
 class CurveClass(Enum):
-    """Isomorphism class of a Mordell curve; only two exist for p = 2 (mod 3)."""
+    """Isomorphism class of a Mordell curve; only two exist for p = 2 (mod 3):
+    C1 when b is a quadratic residue, C2 when it is not."""
 
     C1 = "C1"
     C2 = "C2"
@@ -47,36 +39,10 @@ class MordellCurve:
     def p(self) -> int:
         return self.modulus.p
 
-    def contains(self, point: CurvePoint) -> bool:
-        x, y = point
-        return (y * y - (x * x % self.p) * x - self.b) % self.p == 0
-
 
 def x_for_y(curve: MordellCurve, y: int) -> int:
     """The unique x with (x, y) on the curve: x = cbrt(y^2 - b)."""
     return curve.modulus.cube_root((y * y - curve.b) % curve.p)
-
-
-def point_for_y(curve: MordellCurve, y: int) -> CurvePoint:
-    return CurvePoint(x_for_y(curve, y), y)
-
-
-def _enum_guard() -> int:
-    value = os.environ.get("MECFORGE_MAX_P")
-    return int(value) if value else DEFAULT_MAX_ENUM_P
-
-
-def enumerate_points(curve: MordellCurve, max_p: Optional[int] = None) -> list[CurvePoint]:
-    """All p affine points, one per y in [0, p-1].  Identity excluded."""
-    guard = max_p if max_p is not None else _enum_guard()
-    if curve.p > guard:
-        raise TooLarge(f"p = {curve.p} exceeds the enumeration guard {guard}")
-    return [point_for_y(curve, y) for y in range(curve.p)]
-
-
-def classify(curve: MordellCurve) -> CurveClass:
-    """C1 iff b is a quadratic residue (iff the curve has a point with x = 0)."""
-    return CurveClass.C1 if curve.modulus.is_quadratic_residue(curve.b) else CurveClass.C2
 
 
 def representative(modulus: PrimeModulus, curve_class: CurveClass) -> int:

@@ -4,17 +4,13 @@ Three strict total orders are supported: natural (lexicographic on (x, y)),
 diffusion (integer coordinate sum, ties by x) and modulo diffusion
 (coordinate sum mod p, ties by x).  Because each y in [0, p-1] lies on
 exactly one point, every order on points induces an order on any subset of
-y-values, and from there on the residues of an (m, p)-complete set.
+y-values.
 """
 
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Iterable
 
-from .field import PrimeModulus
-from .mec import CurvePoint, MordellCurve, point_for_y
-
-if TYPE_CHECKING:
-    from .generator import CompleteSet
+from .mec import MordellCurve, x_for_y
 
 
 class Ordering(Enum):
@@ -31,28 +27,22 @@ class Ordering(Enum):
             raise ValueError(f"unknown ordering {name!r}; expected one of: {valid}") from None
 
 
-def sort_key(kind: Ordering, modulus: PrimeModulus) -> Callable[[CurvePoint], tuple[int, int]]:
-    """The comparison key realizing each order on points of a curve over p."""
-    if kind is Ordering.NATURAL:
-        return lambda pt: (pt.x, pt.y)
-    if kind is Ordering.DIFFUSION:
-        return lambda pt: (pt.x + pt.y, pt.x)
-    p = modulus.p
-    return lambda pt: ((pt.x + pt.y) % p, pt.x)
-
-
 def rank_of_y(kind: Ordering, curve: MordellCurve, ys: Iterable[int]) -> list[int]:
-    """y-values sorted by the curve-order position of their unique points."""
-    key = sort_key(kind, curve.modulus)
-    return [pt.y for pt in sorted((point_for_y(curve, y) for y in ys), key=key)]
+    """y-values sorted by the curve-order position of their unique points.
 
-
-def ordered_complete_set(kind: Ordering, curve: MordellCurve, complete_set: "CompleteSet") -> list[int]:
-    """Residues [0, m-1] in the order the curve imposes on their representatives.
-
-    Each residue inherits the position of the unique curve point whose
-    y-coordinate is the set element congruent to it mod m; the result is a
-    permutation of [0, m-1].
+    Each y is sorted by the order's key on its point (x_for_y(curve, y), y).
     """
-    m = complete_set.m
-    return [y % m for y in rank_of_y(kind, curve, complete_set.elements)]
+    if kind is Ordering.NATURAL:
+        def key(y):
+            return x_for_y(curve, y), y
+    elif kind is Ordering.DIFFUSION:
+        def key(y):
+            x = x_for_y(curve, y)
+            return x + y, x
+    else:
+        p = curve.p
+
+        def key(y):
+            x = x_for_y(curve, y)
+            return (x + y) % p, x
+    return sorted(ys, key=key)

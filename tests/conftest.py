@@ -47,4 +47,5 @@ def golden_sbox_52511():
 
 @pytest.fixture(scope="session")
 def aes_sbox_table():
-    return data.aes_sbox()
+    """The standard AES S-box, bundled for `mecforge analyze aes`."""
+    return [int(tok, 16) for tok in data.path("aes_sbox.txt").read_text().split()]

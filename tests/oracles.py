@@ -1,19 +1,21 @@
 """Independent reference implementations used to cross-check the fast paths.
 
 Everything here is deliberately brute force and shares no code with the
-package internals beyond the public data types and the GF(2^8) field
-operations `mul` and `inv`.  In particular nothing here imports
-`mecforge.field` or `mecforge.mec`: field and curve arithmetic is done on
-plain integers.
+package internals beyond the public data types `SBox` and `Ordering`.
+Nothing here imports `mecforge.field`, `mecforge.mec` or `mecforge.gf256`:
+field and curve arithmetic is done on plain integers, and GF(2^8) has its
+own shift-and-add multiply here, with no log/antilog tables.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Optional
 
 from mecforge.generator import SBox
-from mecforge.gf256 import DEFAULT_POLY, inv, mul
 from mecforge.ordering import Ordering
+
+GF256_POLY = 0x11B
 
 
 def brute_force_points(p: int, b: int) -> list[tuple[int, int]]:
@@ -72,6 +74,16 @@ def iso_param(b1: int, b2: int, p: int) -> Optional[int]:
         if pow(t, 6, p) * b1 % p == b2:
             return t
     return None
+
+
+def rep_and_param(p: int, reps, b: int) -> tuple[int, int]:
+    """The representative among `reps` whose curve is isomorphic to E_{p, b},
+    with the t that carries it there, by trying each t."""
+    for rep in reps:
+        t = iso_param(rep, b, p)
+        if t is not None:
+            return rep, t
+    raise AssertionError(f"no representative in {reps} reaches b = {b} mod {p}")
 
 
 def sbox_transport(p: int, b_rep: int, t: int, kind: Ordering, elements, k: int) -> SBox:
@@ -185,15 +197,37 @@ def bic_matrix_direct(sbox: SBox) -> list[list[Optional[Fraction]]]:
     return matrix
 
 
-def poly_eval(coeffs: list[int], x: int, poly: int = DEFAULT_POLY) -> int:
+@cache  # a Lagrange table takes about 200k products, of only 65536 distinct ones
+def gf_mul(a: int, b: int) -> int:
+    """Product in GF(2^8) modulo 0x11B, by shift-and-add."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= GF256_POLY
+        b >>= 1
+    return r
+
+
+def gf_inv(a: int) -> int:
+    """The b with a * b = 1 in GF(2^8), by trying every b."""
+    for b in range(1, 256):
+        if gf_mul(a, b) == 1:
+            return b
+    raise ZeroDivisionError("0 has no inverse in GF(2^8)")
+
+
+def poly_eval(coeffs: list[int], x: int) -> int:
     """Horner evaluation over GF(2^8); coeffs[i] is the coefficient of x^i."""
     acc = 0
     for c in reversed(coeffs):
-        acc = mul(acc, x, poly) ^ c
+        acc = gf_mul(acc, x) ^ c
     return acc
 
 
-def interpolate_lagrange(values: list[int], poly: int = DEFAULT_POLY) -> list[int]:
+def interpolate_lagrange(values: list[int]) -> list[int]:
     """Coefficients of the polynomial through all 256 points, in Lagrange form.
 
     The master product M(x) = prod(x - x_j) over all of GF(2^8) is
@@ -211,11 +245,11 @@ def interpolate_lagrange(values: list[int], poly: int = DEFAULT_POLY) -> list[in
         carry = master[256]
         for d in range(255, -1, -1):
             q[d] = carry
-            carry = master[d] ^ mul(carry, xi, poly)
-        scale = mul(yi, inv(poly_eval(q, xi, poly), poly), poly)
+            carry = master[d] ^ gf_mul(carry, xi)
+        scale = gf_mul(yi, gf_inv(poly_eval(q, xi)))
         for d in range(256):
             if q[d]:
-                coeffs[d] ^= mul(scale, q[d], poly)
+                coeffs[d] ^= gf_mul(scale, q[d])
     return coeffs
 
 

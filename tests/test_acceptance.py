@@ -25,10 +25,10 @@ from mecforge.analysis import (
 from mecforge.cli import main
 from mecforge.field import PrimeModulus, is_prime
 from mecforge.generator import CompleteSet, count_sboxes, pstar, sbox_direct, sbox_iso, sprn
-from mecforge.mec import MordellCurve, classify, representative
+from mecforge.mec import CurveClass, MordellCurve, representative
 from mecforge.ordering import Ordering
 
-from oracles import count_complete_sets_exhaustive, iso_param, sbox_transport, sbox_trial_loop
+from oracles import count_complete_sets_exhaustive, rep_and_param, sbox_transport, sbox_trial_loop
 
 ADMISSIBLE_UNDER_200 = [p for p in range(5, 200) if is_prime(p) and p % 3 == 2]
 
@@ -103,7 +103,7 @@ def test_criterion_05_sequence_statistics(curve_52511_1, reference_set_52511):
     assert abs(entropy(x4) - 11.9355) <= 1e-4
     assert period(x4) == 3917
     hist = histogram(x4)
-    assert hist.is_uniform() and hist.frequency(0) == 1
+    assert hist.frequencies == dict.fromkeys(range(3917), 1)
 
     mod101 = PrimeModulus(101)
     x3 = sprn(MordellCurve(mod101, 35), Ordering.NATURAL, range(101), 6, 0)
@@ -127,8 +127,7 @@ def test_criterion_06_construction_paths_agree():
 
         direct = sbox_direct(curve, kind, cs, k)
         assert sorted(direct.table) == list(range(m))
-        rep_b = representative(modulus, classify(curve))
-        t = iso_param(rep_b, b, p)
+        rep_b, t = rep_and_param(p, [representative(modulus, cls) for cls in CurveClass], b)
         via_iso = sbox_iso(MordellCurve(modulus, rep_b), modulus.inverse(t), kind, cs, k)
         assert via_iso.table == direct.table
         assert via_iso.provenance == direct.provenance
@@ -151,8 +150,7 @@ def test_criterion_07_histogram_and_entropy_closed_forms():
 
         q, r = divmod(m, h)
         hist = histogram(seq)
-        for w in range(h):
-            assert hist.frequency(w) == (q + 1 if w < r else q)
+        assert hist.frequencies == {w: q + 1 if w < r else q for w in range(h)}
 
         if r == 0:
             expected = math.log2(h)

@@ -7,23 +7,18 @@ from hypothesis import strategies as st
 
 from mecforge.analysis import (
     AnalysisReport,
-    algebraic_complexity,
     analyze_sbox,
-    bic_matrix,
     correlation,
     dap,
     distinct_count,
     entropy,
     fixed_points,
     histogram,
-    lap,
-    nonlinearity,
     period,
-    sac_matrix,
 )
-from mecforge.errors import EmptySequence, NotPowerOfTwo, SizeMismatch, UnsupportedSize
+from mecforge.errors import EmptySequence, NotPowerOfTwo, SizeMismatch
 from mecforge.field import PrimeModulus
-from mecforge.generator import CompleteSet, SBox, sprn
+from mecforge.generator import SBox, sprn
 from mecforge.gf256 import interpolate
 from mecforge.mec import MordellCurve
 from mecforge.ordering import Ordering
@@ -51,43 +46,53 @@ def identity_sbox(n):
     return SBox(tuple(range(1 << n)), 1 << n)
 
 
+def span(matrix):
+    """Least and greatest entry of an oracle matrix, skipping None; (None,
+    None) when there is none, as for the BIC of a 2-entry S-box."""
+    entries = [e for row in matrix for e in row if e is not None]
+    return (min(entries), max(entries)) if entries else (None, None)
+
+
 # --- S-box metrics -----------------------------------------------------------
 
 def test_size_must_be_power_of_two():
     with pytest.raises(NotPowerOfTwo):
-        nonlinearity(SBox((1, 2, 0), 3))
+        analyze_sbox(SBox((1, 2, 0), 3))
     with pytest.raises(NotPowerOfTwo):
-        sac_matrix(SBox((0,), 1))
+        analyze_sbox(SBox((0,), 1))
+    with pytest.raises(NotPowerOfTwo):
+        dap(SBox((1, 2, 0), 3))
 
 
 def test_identity_metrics():
     s = identity_sbox(3)
-    assert nonlinearity(s) == 0
-    assert lap(s) == Fraction(1, 2)
-    assert dap(s) == 1
-    assert fixed_points(s) == 8
-    sac = sac_matrix(s)
-    assert all(sac[i][j] == (1 if i == j else 0) for i in range(3) for j in range(3))
+    report = analyze_sbox(s)
+    assert report.nl == 0
+    assert report.lap == Fraction(1, 2)
+    assert report.dap == 1
+    assert report.fixed_points == 8
+    # output bit i flips exactly when input bit i does
+    assert (report.sac_min, report.sac_max) == (0, 1)
 
 
 def test_affine_sbox_metrics():
     # x -> x ^ 5 is affine over GF(2)^3
-    s = SBox(tuple(x ^ 5 for x in range(8)), 8)
-    assert nonlinearity(s) == 0
-    assert dap(s) == 1
-    assert fixed_points(s) == 0
+    report = analyze_sbox(SBox(tuple(x ^ 5 for x in range(8)), 8))
+    assert report.nl == 0
+    assert report.dap == 1
+    assert report.fixed_points == 0
 
 
 @given(permutation_sboxes(3))
 @settings(max_examples=30, deadline=None)
 def test_nonlinearity_matches_definition_n3(sbox):
-    assert nonlinearity(sbox) == nonlinearity_direct(sbox)
+    assert analyze_sbox(sbox).nl == nonlinearity_direct(sbox)
 
 
 @given(permutation_sboxes(4))
 @settings(max_examples=10, deadline=None)
 def test_nonlinearity_matches_definition_n4(sbox):
-    assert nonlinearity(sbox) == nonlinearity_direct(sbox)
+    assert analyze_sbox(sbox).nl == nonlinearity_direct(sbox)
 
 
 @given(sboxes_up_to_8_bits())
@@ -95,15 +100,17 @@ def test_nonlinearity_matches_definition_n4(sbox):
 def test_nonlinearity_and_lap_match_walsh_oracle(sbox):
     n = (sbox.m - 1).bit_length()
     walsh = max_abs_walsh(sbox)
-    assert nonlinearity(sbox) == (1 << (n - 1)) - walsh // 2
-    assert lap(sbox) == Fraction(walsh, 1 << (n + 1))
+    report = analyze_sbox(sbox)
+    assert report.nl == (1 << (n - 1)) - walsh // 2
+    assert report.lap == Fraction(walsh, 1 << (n + 1))
 
 
 @given(sboxes_up_to_8_bits())
 @settings(max_examples=20, deadline=None)
 def test_sac_and_bic_match_direct_oracle(sbox):
-    assert sac_matrix(sbox) == sac_matrix_direct(sbox)
-    assert bic_matrix(sbox) == bic_matrix_direct(sbox)
+    report = analyze_sbox(sbox)
+    assert (report.sac_min, report.sac_max) == span(sac_matrix_direct(sbox))
+    assert (report.bic_min, report.bic_max) == span(bic_matrix_direct(sbox))
 
 
 # Shrinking a 256-entry permutation against the slow oracles takes minutes,
@@ -115,50 +122,47 @@ def test_battery_matches_oracles_on_8_bit_permutations(sbox):
     walsh = max_abs_walsh(sbox)
     coeffs = interpolate_lagrange(list(sbox.table))
     assert interpolate(list(sbox.table)) == coeffs
-    assert report.ac == algebraic_complexity(sbox) == sum(1 for c in coeffs if c)
+    assert report.ac == sum(1 for c in coeffs if c)
     assert report.nl == 128 - walsh // 2 and report.lap == Fraction(walsh, 512)
-    sac = [e for row in sac_matrix_direct(sbox) for e in row]
-    bic = [e for row in bic_matrix_direct(sbox) for e in row if e is not None]
-    assert (report.sac_min, report.sac_max) == (min(sac), max(sac))
-    assert (report.bic_min, report.bic_max) == (min(bic), max(bic))
+    assert (report.sac_min, report.sac_max) == span(sac_matrix_direct(sbox))
+    assert (report.bic_min, report.bic_max) == span(bic_matrix_direct(sbox))
 
 
 @given(permutation_sboxes(4))
 @settings(max_examples=15, deadline=None)
 def test_metric_invariants(sbox):
-    nl = nonlinearity(sbox)
-    assert 0 <= nl <= 6  # optimal for n=4 is 4; 2^{n-1} - 2^{n/2 - 1} bound applies to bent-like
-    l = lap(sbox)
-    assert nl == 8 - l * 32 / 2
-    d = dap(sbox)
-    assert Fraction(1, 8) <= d <= 1
     report = analyze_sbox(sbox)
+    nl = report.nl
+    assert 0 <= nl <= 6  # optimal for n=4 is 4; 2^{n-1} - 2^{n/2 - 1} bound applies to bent-like
+    assert nl == 8 - report.lap * 32 / 2
+    assert Fraction(1, 8) <= report.dap <= 1
+    assert report.dap == dap(sbox)
     assert 0 <= report.sac_min <= report.sac_max <= 1
     assert 0 <= report.bic_min <= report.bic_max <= 1
 
 
 def test_aes_reference_metrics(aes_sbox_table):
     s = SBox(tuple(aes_sbox_table), 256)
-    assert nonlinearity(s) == 112
-    assert lap(s) == Fraction(1, 16)
-    assert dap(s) == Fraction(1, 64)
-    assert algebraic_complexity(s) == 9
-    assert fixed_points(s) == 0
     report = analyze_sbox(s)
+    assert report.nl == 112
+    assert report.lap == Fraction(1, 16)
+    assert report.dap == dap(s) == Fraction(1, 64)
+    assert report.ac == 9
+    assert report.fixed_points == fixed_points(s) == 0
     assert report.sac_min == Fraction(116, 256) and report.sac_max == Fraction(144, 256)
 
 
 def test_algebraic_complexity_sizes():
-    with pytest.raises(UnsupportedSize):
-        algebraic_complexity(identity_sbox(3))
-    assert algebraic_complexity(identity_sbox(8)) == 1
+    # AC is defined for 256-entry S-boxes only; the identity is the monomial x
+    assert analyze_sbox(identity_sbox(3)).ac is None
+    assert analyze_sbox(identity_sbox(8)).ac == 1
 
 
 def test_bic_matrix_shape_and_symmetry(aes_sbox_table):
-    m = bic_matrix(SBox(tuple(aes_sbox_table), 256))
-    assert all(m[i][i] is None for i in range(8))
-    assert all(m[i][r] == m[r][i] for i in range(8) for r in range(8) if i != r)
-    assert min(v for row in m for v in row if v is not None) == Fraction(123, 256)
+    sbox = SBox(tuple(aes_sbox_table), 256)
+    report = analyze_sbox(sbox)
+    assert report.bic_min == Fraction(123, 256)
+    assert (report.bic_min, report.bic_max) == span(bic_matrix_direct(sbox))
 
 
 def test_correlation():
@@ -206,9 +210,8 @@ def test_analyze_two_entry_sbox_has_no_bic(table):
 def test_histogram_basic():
     h = histogram([0, 1, 1, 2, 2, 2])
     assert h.length == 6
-    assert h.frequency(2) == 3 and h.frequency(9) == 0
-    assert not h.is_uniform()
-    assert histogram([3, 3, 5, 5]).is_uniform()
+    assert h.frequencies == {0: 1, 1: 2, 2: 3}
+    assert histogram([3, 3, 5, 5]).frequencies == {3: 2, 5: 2}
 
 
 def test_full_curve_sequence_frequencies():
@@ -219,15 +222,14 @@ def test_full_curve_sequence_frequencies():
     seq = sprn(MordellCurve(modulus, 35), Ordering.NATURAL, range(p), m, 0)
     h = histogram(seq)
     q, r = divmod(p, m)
-    for v in range(m):
-        assert h.frequency(v) == (q + 1 if v < r else q)
+    assert h.frequencies == {v: q + 1 if v < r else q for v in range(m)}
 
 
 def test_uniform_case_entropy():
     p, m = 3917, 3917
     modulus = PrimeModulus(p)
     seq = sprn(MordellCurve(modulus, 301), Ordering.NATURAL, range(p), m, 0)
-    assert histogram(seq).is_uniform()
+    assert histogram(seq).frequencies == dict.fromkeys(range(p), 1)
     assert entropy(seq) == pytest.approx(math.log2(p))
     assert period(seq) == p
 

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import sys
 import warnings
 
 import pytest
@@ -22,9 +23,7 @@ from mecforge.cli import (
     parse_sequence,
     read_text,
 )
-from mecforge.errors import TooLarge
 from mecforge.generator import SBox, SprnSequence
-from mecforge.mec import enumerate_points
 
 
 def run(capsys, *argv):
@@ -235,6 +234,14 @@ def test_gen_prn_requires_m(capsys):
     assert code == EXIT_BAD_PARAMS and "--m is required" in err
 
 
+def test_gen_prn_full_set_guard(capsys):
+    # 4194329 is the smallest prime p = 2 (mod 3) above 2^22
+    code, out, err = run(capsys, "gen-prn", "--p", "4194329", "--b", "1",
+                         "--ordering", "natural", "--A", "full", "--m", "2")
+    assert code == EXIT_RANGE_TOO_LARGE and out == ""
+    assert err.count("\n") == 1 and "--A full" in err
+
+
 # --- analyze ---------------------------------------------------------------------
 
 def test_analyze_bundled_aes(capsys):
@@ -309,6 +316,20 @@ def test_count_too_long_to_print_exits_5(capsys, p, m):
     code, out, err = run(capsys, "count", "--p", p, "--m", m)
     assert code == EXIT_RANGE_TOO_LARGE and out == ""
     assert err.count("\n") == 1 and "more than 4300 digits" in err
+
+
+def test_count_follows_the_int_to_str_limit(capsys):
+    """A lowered interpreter limit lowers the count's bound with it."""
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        code, out, err = run(capsys, "count", "--p", "52511", "--m", "1000")
+        assert code == EXIT_RANGE_TOO_LARGE and out == ""
+        assert err.count("\n") == 1 and "more than 1000 digits" in err
+        code, out, _ = run(capsys, "count", "--p", "263", "--m", "256")
+        assert code == EXIT_OK and json.loads(out)["total"] == 32768
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_pstar_range(capsys):
@@ -427,13 +448,3 @@ def test_main_keeps_exit_code_contract(argv):
             return
     assert code in {EXIT_OK, EXIT_BAD_PARAMS, EXIT_IO, EXIT_UNSUPPORTED_METRIC,
                     EXIT_RANGE_TOO_LARGE}
-
-
-# --- environment guard --------------------------------------------------------------
-
-def test_enumeration_env_guard(monkeypatch, curve_11_1):
-    monkeypatch.setenv("MECFORGE_MAX_P", "7")
-    with pytest.raises(TooLarge):
-        enumerate_points(curve_11_1)
-    monkeypatch.setenv("MECFORGE_MAX_P", "11")
-    assert len(enumerate_points(curve_11_1)) == 11

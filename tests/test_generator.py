@@ -17,11 +17,11 @@ from mecforge.generator import (
     sbox_iso,
     sprn,
 )
-from mecforge.mec import CurveClass, MordellCurve, classify, representative
+from mecforge.mec import CurveClass, MordellCurve, representative
 from mecforge.ordering import Ordering
 
 from conftest import SMALL_ADMISSIBLE
-from oracles import (count_complete_sets_exhaustive, iso_param, pstar_direct, sbox_transport,
+from oracles import (count_complete_sets_exhaustive, pstar_direct, rep_and_param, sbox_transport,
                      sbox_trial_loop, sprn_trial_loop)
 
 ALL_ORDERINGS = list(Ordering)
@@ -129,8 +129,7 @@ def test_three_paths_agree(p, kind, data):
     oracle = sbox_trial_loop(p, b, kind, cs.elements, k)
     assert direct.table == oracle.table
 
-    rep_b = representative(modulus, classify(curve))
-    t = iso_param(rep_b, b, p)
+    rep_b, t = rep_and_param(p, [representative(modulus, cls) for cls in CurveClass], b)
     via_iso = sbox_iso(MordellCurve(modulus, rep_b), modulus.inverse(t), kind, cs, k)
     assert via_iso.table == direct.table
     assert via_iso.provenance == direct.provenance
@@ -260,8 +259,7 @@ def test_first_output_separation_lower_bound(p):
     """Distinct C1 curves differ at input k under the natural order, so the
     family contains at least min(m-1, (p-1)/2) distinct tables."""
     modulus = PrimeModulus(p)
-    c1_bs = [b for b in range(1, p)
-             if classify(MordellCurve(modulus, b)) is CurveClass.C1]
+    c1_bs = [b for b in range(1, p) if modulus.is_quadratic_residue(b)]
     for m in range(2, p + 1):
         cs = CompleteSet.natural(m, modulus)
         for k in (0, m // 2):

@@ -2,18 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecforge.errors import BadCoefficient, MecforgeError, NotAdmissible, TooLarge
+from mecforge.errors import BadCoefficient, MecforgeError, NotAdmissible
 from mecforge.field import PrimeModulus
-from mecforge.mec import (
-    CurveClass,
-    CurvePoint,
-    MordellCurve,
-    classify,
-    enumerate_points,
-    point_for_y,
-    representative,
-    x_for_y,
-)
+from mecforge.mec import CurveClass, MordellCurve, representative, x_for_y
 
 from conftest import SMALL_ADMISSIBLE
 from oracles import brute_force_points, iso_map_point, iso_param
@@ -24,6 +15,11 @@ admissible = st.sampled_from([p for p in SMALL_ADMISSIBLE if p > 3])
 def curves(p_strategy=admissible):
     return p_strategy.flatmap(
         lambda p: st.integers(1, p - 1).map(lambda b: MordellCurve(PrimeModulus(p), b)))
+
+
+def on_curve(p: int, b: int, point: tuple[int, int]) -> bool:
+    x, y = point
+    return (y * y - x * x * x - b) % p == 0
 
 
 def test_curve_validation(mod11):
@@ -46,9 +42,9 @@ def test_x_for_y_examples(curve_11_1):
 
 
 def test_enumerate_points_matches_brute_force(curve_11_1):
-    pts = enumerate_points(curve_11_1)
-    assert sorted((pt.x, pt.y) for pt in pts) == brute_force_points(11, 1)
-    assert sorted((pt.x, pt.y) for pt in pts) == [
+    pts = sorted((x_for_y(curve_11_1, y), y) for y in range(11))
+    assert pts == brute_force_points(11, 1)
+    assert pts == [
         (0, 1), (0, 10), (2, 3), (2, 8), (5, 4), (5, 7),
         (7, 5), (7, 6), (9, 2), (9, 9), (10, 0)]
 
@@ -56,45 +52,42 @@ def test_enumerate_points_matches_brute_force(curve_11_1):
 @given(curves())
 @settings(max_examples=30)
 def test_point_count_and_y_coverage(curve):
-    pts = enumerate_points(curve)
-    assert len(pts) == curve.p
-    assert sorted(pt.y for pt in pts) == list(range(curve.p))
-    assert all(curve.contains(pt) for pt in pts)
+    """x_for_y over every y finds all p points of the curve and no others."""
+    pts = [(x_for_y(curve, y), y) for y in range(curve.p)]
+    assert sorted(pts) == brute_force_points(curve.p, curve.b)
 
 
-def test_enumeration_guard(curve_11_1):
-    with pytest.raises(TooLarge):
-        enumerate_points(curve_11_1, max_p=7)
-
-
-def test_classify_examples(mod11):
-    assert classify(MordellCurve(mod11, 1)) is CurveClass.C1
-    assert classify(MordellCurve(mod11, 9)) is CurveClass.C1
-    assert classify(MordellCurve(mod11, 2)) is CurveClass.C2
+def test_classify_examples():
+    # E_{11,1} and E_{11,9} (t = 2) share C1's representative; E_{11,2} is C2's
+    c1, c2 = (representative(PrimeModulus(11), cls) for cls in (CurveClass.C1, CurveClass.C2))
+    assert iso_param(c1, 1, 11) == 1
+    assert iso_param(c1, 9, 11) == 2
+    assert iso_param(c1, 2, 11) is None and iso_param(c2, 2, 11) == 1
 
 
 def test_representative(mod11):
     assert representative(mod11, CurveClass.C1) == 1
     assert representative(mod11, CurveClass.C2) == 2
-    assert classify(MordellCurve(mod11, representative(mod11, CurveClass.C2))) is CurveClass.C2
+    assert not mod11.is_quadratic_residue(representative(mod11, CurveClass.C2))
 
 
 @given(admissible)
 @settings(max_examples=20)
 def test_classes_split_evenly(p):
+    """Each representative reaches (p-1)/2 curves with t in [1, (p-1)/2]."""
     modulus = PrimeModulus(p)
-    tags = [classify(MordellCurve(modulus, b)) for b in range(1, p)]
-    assert tags.count(CurveClass.C1) == (p - 1) // 2
-    assert tags.count(CurveClass.C2) == (p - 1) // 2
+    for cls in (CurveClass.C1, CurveClass.C2):
+        rep = representative(modulus, cls)
+        assert sum(iso_param(rep, b, p) is not None for b in range(1, p)) == (p - 1) // 2
 
 
-def test_iso_map_point_example(mod11):
-    image = iso_map_point(CurvePoint(0, 1), 2, 11)
-    assert image == CurvePoint(0, 8)
-    assert MordellCurve(mod11, 9).contains(image)
-    assert iso_map_point(CurvePoint(5, 4), 1, 11) == CurvePoint(5, 4)
+def test_iso_map_point_example():
+    image = iso_map_point((0, 1), 2, 11)
+    assert image == (0, 8)
+    assert on_curve(11, 9, image)
+    assert iso_map_point((5, 4), 1, 11) == (5, 4)
     with pytest.raises(ValueError):
-        iso_map_point(CurvePoint(0, 1), 0, 11)
+        iso_map_point((0, 1), 0, 11)
 
 
 @given(curves(), st.data())
@@ -104,11 +97,10 @@ def test_iso_map_is_class_preserving_bijection(curve, data):
     p = curve.p
     t = data.draw(st.integers(1, p - 1))
     b2 = pow(t, 6, p) * curve.b % p
-    target = MordellCurve(modulus, b2)
-    assert classify(target) is classify(curve)
-    pts = enumerate_points(curve)
+    assert modulus.is_quadratic_residue(b2) == modulus.is_quadratic_residue(curve.b)
+    pts = [(x_for_y(curve, y), y) for y in range(p)]
     images = [iso_map_point(pt, t, p) for pt in pts]
-    assert all(target.contains(img) for img in images)
+    assert all(on_curve(p, b2, img) for img in images)
     assert len(set(images)) == len(pts)
     t_inv = modulus.inverse(t)
     assert [iso_map_point(img, t_inv, p) for img in images] == pts
@@ -128,7 +120,7 @@ def test_iso_param_consistency(p, data):
     b1 = data.draw(st.integers(1, p - 1))
     b2 = data.draw(st.integers(1, p - 1))
     t = iso_param(b1, b2, p)
-    same_class = classify(MordellCurve(modulus, b1)) is classify(MordellCurve(modulus, b2))
+    same_class = modulus.is_quadratic_residue(b1) == modulus.is_quadratic_residue(b2)
     if t is None:
         assert not same_class
     else:
@@ -147,4 +139,4 @@ def test_iso_y_set_image_example(mod11):
 
 def test_x_for_y_agrees_with_membership(curve_11_1):
     for y in range(11):
-        assert curve_11_1.contains(point_for_y(curve_11_1, y))
+        assert on_curve(11, 1, (x_for_y(curve_11_1, y), y))
