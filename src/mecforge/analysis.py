@@ -16,7 +16,7 @@ from statistics import correlation as _pearson
 from typing import Optional, Sequence
 
 from . import gf256
-from .errors import EmptySequence, NotPowerOfTwo, SizeMismatch
+from .errors import MecforgeError, NotPowerOfTwo
 from .generator import SBox, SprnSequence
 
 
@@ -114,7 +114,7 @@ def fixed_points(sbox: SBox) -> int:
 def correlation(s1: SBox, s2: SBox) -> float:
     """Pearson correlation of the two tables viewed as integer sequences."""
     if s1.m != s2.m:
-        raise SizeMismatch(f"sizes differ: {s1.m} vs {s2.m}")
+        raise MecforgeError(f"sizes differ: {s1.m} vs {s2.m}")
     return _pearson(s1.table, s2.table)
 
 
@@ -192,7 +192,7 @@ def entropy(seq: SprnSequence | Sequence[int]) -> float:
     """Shannon entropy in bits over the observed symbols."""
     values = seq.values if isinstance(seq, SprnSequence) else tuple(seq)
     if not values:
-        raise EmptySequence("entropy of an empty sequence")
+        raise MecforgeError("entropy of an empty sequence")
     n = len(values)
     return -sum(f / n * math.log2(f / n) for f in Counter(values).values())
 
@@ -201,7 +201,7 @@ def period(seq: SprnSequence | Sequence[int]) -> int:
     """Least h >= 1 with values[i + h] == values[i] wherever both are defined."""
     values = seq.values if isinstance(seq, SprnSequence) else tuple(seq)
     if not values:
-        raise EmptySequence("period of an empty sequence")
+        raise MecforgeError("period of an empty sequence")
     # Knuth-Morris-Pratt prefix function: border[i] is the length of the
     # longest proper prefix of values[:i + 1] that is also its suffix.  The
     # least period of the whole window is its length minus its longest border.

@@ -3,7 +3,9 @@
 Subcommands: gen-sbox, gen-prn, analyze, count, pstar, family.
 stdout carries data, stderr carries diagnostics and provenance lines.
 Exit codes: 0 success, 2 invalid parameters, 3 I/O failure, 4 a metric was
-not applicable to the input size, 5 exhaustive range too large.
+not applicable to the input size, 5 exhaustive range too large.  Each class
+in `errors` carries its code; argparse's usage errors exit 2.  Each flag's
+`type=` callable converts and checks it, for --config values too.
 """
 
 import argparse
@@ -14,9 +16,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, data
-from .errors import MecforgeError, NotPrime, TooLarge
-from .field import PrimeModulus
+from .errors import IOFailure, MecforgeError, NotPowerOfTwo, TooLarge
+from .field import PrimeModulus, is_prime
 from .generator import (
+    DEFAULT_MAX_PSTAR_P,
     CompleteSet,
     SBox,
     SprnSequence,
@@ -30,20 +33,14 @@ from .mec import CurveClass, MordellCurve, representative
 from .ordering import Ordering
 
 EXIT_OK = 0
-EXIT_BAD_PARAMS = 2
-EXIT_IO = 3
-EXIT_UNSUPPORTED_METRIC = 4
-EXIT_RANGE_TOO_LARGE = 5
+EXIT_BAD_PARAMS = MecforgeError.exit_code
+EXIT_IO = IOFailure.exit_code
+EXIT_UNSUPPORTED_METRIC = NotPowerOfTwo.exit_code
+EXIT_RANGE_TOO_LARGE = TooLarge.exit_code
 
-# gen-prn --A full orders every y in [0, p-1], at about 230 bytes of memory
-# each: about 1 GB at this bound.
-MAX_FULL_A_P = 1 << 22
-
-
-class CliError(MecforgeError):
-    def __init__(self, message: str, code: int = EXIT_BAD_PARAMS):
-        super().__init__(message)
-        self.code = code
+# gen-prn --A full and gen-sbox --set natural order up to this many ys, at
+# about 200 bytes of memory each: about 1 GB at this bound.
+MAX_ORDERED_YS = 1 << 22
 
 
 # --- input parsing -----------------------------------------------------------
@@ -59,10 +56,10 @@ def parse_integer_tokens(text: str) -> list[int]:
     """
     tokens = text.split()
     if not tokens:
-        raise CliError("empty integer list")
+        raise MecforgeError("empty integer list")
     for tok in tokens:
         if not _HEX_RE.match(tok):
-            raise CliError(f"malformed integer token {tok!r}")
+            raise MecforgeError(f"malformed integer token {tok!r}")
     base = 16 if any(re.search(r"[a-fA-F]", t) for t in tokens) else 10
     return [int(t, base) for t in tokens]
 
@@ -71,16 +68,15 @@ def read_text(path: str) -> str:
     try:
         return sys.stdin.read() if path == "-" else pathlib.Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
+        raise IOFailure(f"cannot read {path}: {exc}") from exc
 
 
 def write_output(text: str, out: Optional[str]) -> None:
     if out:
         try:
-            with open(out, "w") as fh:
-                fh.write(text)
+            pathlib.Path(out).write_text(text)
         except OSError as exc:
-            raise CliError(f"cannot write {out}: {exc}", EXIT_IO) from exc
+            raise IOFailure(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -99,7 +95,7 @@ def format_sbox(sbox: SBox, fmt: str) -> str:
     if fmt == "json":
         payload = {"m": sbox.m, "table": list(sbox.table), "provenance": sbox.provenance_dict()}
         return json.dumps(payload) + "\n"
-    raise CliError(f"unknown format {fmt!r}")
+    raise MecforgeError(f"unknown format {fmt!r}")
 
 
 def parse_sbox(text: str, fmt: str = "auto") -> SBox:
@@ -116,7 +112,8 @@ def parse_sbox(text: str, fmt: str = "auto") -> SBox:
         table, prov = payload["table"], payload.get("provenance", {})
         if not (isinstance(table, list) and all(type(v) is int for v in table)
                 and isinstance(prov, dict)):
-            raise CliError("a JSON S-box needs an integer list 'table' and an object 'provenance'")
+            raise MecforgeError(
+                "a JSON S-box needs an integer list 'table' and an object 'provenance'")
         return SBox(tuple(table), payload.get("m", len(table)), tuple(sorted(prov.items())))
     if fmt == "csv":
         table = [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
@@ -127,7 +124,7 @@ def parse_sbox(text: str, fmt: str = "auto") -> SBox:
     tokens = text.split()
     digits = "".join(tokens)
     if not digits or not _HEX_RE.match(digits):
-        raise CliError("malformed hex S-box file")
+        raise MecforgeError("malformed hex S-box file")
     if len(tokens) > 1 and len(tokens[0]) <= 4 and all(len(t) == len(tokens[0]) for t in tokens):
         widths = [len(tokens[0])]
     else:
@@ -136,7 +133,7 @@ def parse_sbox(text: str, fmt: str = "auto") -> SBox:
         table = [int(digits[i:i + width], 16) for i in range(0, len(digits), width)]
         if sorted(table) == list(range(len(table))):
             return SBox(tuple(table), len(table))
-    raise CliError("malformed hex S-box file")
+    raise MecforgeError("malformed hex S-box file")
 
 
 def format_sequence(seq: SprnSequence, fmt: str) -> str:
@@ -148,7 +145,7 @@ def format_sequence(seq: SprnSequence, fmt: str) -> str:
     if fmt == "hex":
         width = max(2, len(f"{max(seq.values):x}"))
         return " ".join(f"{v:0{width}x}" for v in seq.values) + "\n"
-    raise CliError(f"unknown format {fmt!r}")
+    raise MecforgeError(f"unknown format {fmt!r}")
 
 
 def parse_sequence(text: str) -> list[int]:
@@ -156,161 +153,144 @@ def parse_sequence(text: str) -> list[int]:
     if text.startswith("{"):
         values = json.loads(text)["values"]
         if not (isinstance(values, list) and all(type(v) is int for v in values)):
-            raise CliError("malformed sequence input: 'values' must be a list of integers")
+            raise MecforgeError("malformed sequence input: 'values' must be a list of integers")
         return values
     if "," in text:
         return [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
     return parse_integer_tokens(text)
 
 
-# --- shared argument plumbing -------------------------------------------------
+# --- flag types ----------------------------------------------------------------
+# argparse reports a ValueError from these as "invalid <function name> value".
 
-def load_config(path: Optional[str], flags: dict[str, str]) -> dict:
-    """Flat key=value file mirroring the long flags.
-
-    `flags` maps the long name of each value-taking flag, with '-' read as
-    '_', to its argparse dest; any other key is an error.
-    """
-    if not path:
-        return {}
-    config = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        dest = flags.get(key.replace("-", "_"))
-        if dest is None:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}; "
-                           f"expected one of: {', '.join(sorted(flags))}")
-        config[dest] = value.strip()
-    return config
+def admissible(p: int) -> bool:
+    """p is an odd prime with p = 2 (mod 3), a modulus the curves accept."""
+    return p % 3 == 2 and p != 2 and is_prime(p)
 
 
-def merge_config(args: argparse.Namespace, config: dict) -> None:
-    """Fill each flag not given on the command line from the config file."""
-    for dest, value in config.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+def prime(text: str) -> PrimeModulus:
+    p = int(text)
+    if not admissible(p):
+        raise argparse.ArgumentTypeError("p must be prime with p = 2 (mod 3)")
+    return PrimeModulus(p)
 
 
-def config_flags(parser: argparse.ArgumentParser) -> dict[str, str]:
-    """Config key -> dest for each value-taking long flag of `parser`
-    except --config itself."""
-    return {action.option_strings[-1][2:].replace("-", "_"): action.dest
-            for action in parser._actions
-            if action.option_strings and action.nargs != 0 and action.dest != "config"}
-
-
-def int_flag(args, name: str, default: Optional[int] = None) -> Optional[int]:
-    """The integer value of flag --name, or `default` when it is not given."""
-    value = getattr(args, name)
-    if value is None:
-        return default
+def ordering(text: str) -> Ordering:
     try:
-        return int(value)
+        return Ordering.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
+def curve_class(text: str) -> CurveClass:
+    try:
+        return CurveClass(text.upper())
     except ValueError:
-        raise CliError(f"--{name.replace('_', '-')} expects an integer, got {value!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"unknown curve class {text!r}; expected c1 or c2") from None
 
 
-def require_modulus(args) -> PrimeModulus:
-    if args.p is None:
-        raise CliError("--p is required")
-    try:
-        modulus = PrimeModulus(int_flag(args, "p"))
-    except NotPrime:
-        raise CliError("p must be prime with p = 2 (mod 3)") from None
-    if not modulus.mec_admissible:
-        raise CliError("p must be prime with p = 2 (mod 3)")
-    return modulus
+def prime_range(text: str) -> range:
+    match = re.match(r"^(\d+)\.\.(\d+)$", text)
+    if not match:
+        raise ValueError(text)
+    return range(int(match[1]), int(match[2]) + 1)
 
 
-def resolve_curve(args, modulus: PrimeModulus) -> MordellCurve:
+def output_format(text: str) -> str:
+    if text not in ("hex", "csv", "json"):
+        raise ValueError(text)
+    return text
+
+
+class ConfigFile(argparse.Action):
+    """--config FILE: a flat key = value file whose keys are the long names of
+    the command's other value-taking flags, '-' read as '_'.
+
+    The action checks the keys and lifts `required` from the flags the file
+    sets, so that the parse succeeds; main() then makes the values the
+    command's defaults and parses again, so that explicit flags still win.
+    A later --config file adds to an earlier one."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        flags = {action.option_strings[-1][2:].replace("-", "_"): action
+                 for action in parser._actions
+                 if action.option_strings and action.nargs != 0 and action is not self}
+        _, config = getattr(namespace, self.dest) or (parser, {})
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise MecforgeError(f"{path}:{lineno}: expected key=value")
+            key, value = line.split("=", 1)
+            key = key.strip()
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                raise MecforgeError(f"{path}:{lineno}: unknown key {key!r}; "
+                                    f"expected one of: {', '.join(sorted(flags))}")
+            action.required = False
+            config[action.dest] = value.strip()
+        setattr(namespace, self.dest, (parser, config))
+
+
+# --- shared argument resolution ---------------------------------------------------
+
+def resolve_curve(args) -> MordellCurve:
     """The curve E_{p, b} of --b, or E_{p, t^6 b} for the representative b of
     --class and the isomorphism parameter --t."""
-    has_b = args.b is not None
-    has_class = getattr(args, "curve_class", None) is not None or getattr(args, "t", None) is not None
-    if has_b == has_class:
-        raise CliError("specify either --b, or --class together with --t")
-    if has_b:
-        b = int_flag(args, "b")
-        if not 1 <= b <= modulus.p - 1:
-            raise CliError(f"b must lie in [1, p-1], got {b}")
-        return MordellCurve(modulus, b)
+    modulus = args.modulus
+    if (args.b is None) == (args.curve_class is None and args.t is None):
+        raise MecforgeError("specify either --b, or --class together with --t")
+    if args.b is not None:
+        if not 1 <= args.b <= modulus.p - 1:
+            raise MecforgeError(f"b must lie in [1, p-1], got {args.b}")
+        return MordellCurve(modulus, args.b)
     if args.curve_class is None or args.t is None:
-        raise CliError("--class and --t must be given together")
-    try:
-        cls = CurveClass(args.curve_class.upper())
-    except ValueError:
-        raise CliError(f"unknown curve class {args.curve_class!r}; expected c1 or c2") from None
-    t = int_flag(args, "t")
-    if not 1 <= t <= (modulus.p - 1) // 2:
-        raise CliError(f"t must lie in [1, (p-1)/2], got {t}")
-    b = pow(t, 6, modulus.p) * representative(modulus, cls) % modulus.p
+        raise MecforgeError("--class and --t must be given together")
+    if not 1 <= args.t <= (modulus.p - 1) // 2:
+        raise MecforgeError(f"t must lie in [1, (p-1)/2], got {args.t}")
+    b = pow(args.t, 6, modulus.p) * representative(modulus, args.curve_class) % modulus.p
     return MordellCurve(modulus, b)
 
 
-def resolve_complete_set(args, modulus: PrimeModulus) -> CompleteSet:
-    if args.set is None:
-        raise CliError("--set is required (a file path or 'natural')")
+def resolve_complete_set(args) -> CompleteSet:
     if args.set == "natural":
         if args.m is None:
-            raise CliError("--m is required with --set natural")
-        return CompleteSet.natural(int_flag(args, "m"), modulus)
+            raise MecforgeError("--m is required with --set natural")
+        if args.modulus.p >= args.m > MAX_ORDERED_YS:  # m > p exits 2 in CompleteSet.validate
+            raise TooLarge(f"m = {args.m} too large for --set natural (at most {MAX_ORDERED_YS})")
+        return CompleteSet.natural(args.m, args.modulus)
     elements = parse_integer_tokens(read_text(args.set))
-    m = int_flag(args, "m", len(elements))
-    return CompleteSet.validate(elements, m, modulus)
-
-
-def parse_ordering(args) -> Ordering:
-    if args.ordering is None:
-        raise CliError("--ordering is required")
-    try:
-        return Ordering.parse(args.ordering)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    m = len(elements) if args.m is None else args.m
+    return CompleteSet.validate(elements, m, args.modulus)
 
 
 # --- commands ------------------------------------------------------------------
 
 def cmd_gen_sbox(args) -> int:
-    modulus = require_modulus(args)
-    kind = parse_ordering(args)
-    complete_set = resolve_complete_set(args, modulus)
-    curve = resolve_curve(args, modulus)
-    k = int_flag(args, "k", 0)
-    sbox = sbox_direct(curve, kind, complete_set, k)
-    print(f"sbox p={sbox.provenance_dict()['p']} b={sbox.provenance_dict()['b']} "
-          f"ordering={kind.value} m={sbox.m} k={k}", file=sys.stderr)
-    write_output(format_sbox(sbox, args.format or "hex"), args.out)
+    complete_set = resolve_complete_set(args)
+    curve = resolve_curve(args)
+    sbox = sbox_direct(curve, args.ordering, complete_set, args.k)
+    print(f"sbox p={curve.p} b={curve.b} ordering={args.ordering.value} m={sbox.m} k={args.k}",
+          file=sys.stderr)
+    write_output(format_sbox(sbox, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_gen_prn(args) -> int:
-    modulus = require_modulus(args)
-    kind = parse_ordering(args)
-    curve = resolve_curve(args, modulus)
-    if args.A is None:
-        raise CliError("--A is required (a file path or 'full')")
+    curve = resolve_curve(args)
     if args.A == "full":
-        if modulus.p > MAX_FULL_A_P:
-            raise CliError(f"p = {modulus.p} too large for --A full (at most {MAX_FULL_A_P})",
-                           EXIT_RANGE_TOO_LARGE)
-        y_set = range(modulus.p)
+        if curve.p > MAX_ORDERED_YS:
+            raise TooLarge(f"p = {curve.p} too large for --A full (at most {MAX_ORDERED_YS})")
+        y_set = range(curve.p)
     else:
         y_set = parse_integer_tokens(read_text(args.A))
-    if args.m is None:
-        raise CliError("--m is required")
-    k = int_flag(args, "k", 0)
-    seq = sprn(curve, kind, y_set, int_flag(args, "m"), k)
-    ent = analysis.entropy(seq)
-    print(f"prn p={curve.p} b={curve.b} ordering={kind.value} "
-          f"|A|={len(seq.values)} m={seq.m} k={k} entropy={ent:.4f}",
+    seq = sprn(curve, args.ordering, y_set, args.m, args.k)
+    print(f"prn p={curve.p} b={curve.b} ordering={args.ordering.value} "
+          f"|A|={len(seq.values)} m={seq.m} k={args.k} entropy={analysis.entropy(seq):.4f}",
           file=sys.stderr)
-    write_output(format_sequence(seq, args.format or "csv"), args.out)
+    write_output(format_sequence(seq, args.format), args.out)
     return EXIT_OK
 
 
@@ -322,10 +302,12 @@ def cmd_analyze(args) -> int:
     if args.kind == "prn":
         try:
             values = parse_sequence(text)
+        except MecforgeError:
+            raise
         except (ValueError, KeyError, TypeError) as exc:
-            raise CliError(f"malformed sequence input: {exc}") from exc
+            raise MecforgeError(f"malformed sequence input: {exc}") from exc
         if not values:
-            raise CliError("empty sequence")
+            raise MecforgeError("empty sequence")
         hist = analysis.histogram(values)
         payload = {
             "length": hist.length,
@@ -336,15 +318,14 @@ def cmd_analyze(args) -> int:
         write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return EXIT_OK
     try:
-        sbox = parse_sbox(text, args.format or "auto")
-    except (MecforgeError, ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"malformed S-box input: {exc}") from exc
-    unsupported = False
+        sbox = parse_sbox(text, args.format)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MecforgeError(f"malformed S-box input: {exc}") from exc
     try:
         report = analysis.analyze_sbox(sbox)
         body = report.to_json(indent=2)
         unsupported = report.ac is None
-    except analysis.NotPowerOfTwo:
+    except NotPowerOfTwo:
         body = json.dumps({
             "nl": "n/a", "lap": "n/a", "dap": "n/a", "ac": "n/a",
             "sac": "n/a", "bic": "n/a",
@@ -356,61 +337,34 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_count(args) -> int:
-    modulus = require_modulus(args)
-    if args.m is None:
-        raise CliError("--m is required")
-    m = int_flag(args, "m")
-    per_k, total = count_sboxes(modulus, m)
-    write_output(json.dumps({"p": modulus.p, "m": m,
+    per_k, total = count_sboxes(args.modulus, args.m)
+    write_output(json.dumps({"p": args.modulus.p, "m": args.m,
                              "per_k": per_k, "total": total}) + "\n", args.out)
     return EXIT_OK
 
 
-def _parse_prime_range(spec: str) -> tuple[int, int]:
-    m = re.match(r"^(\d+)\.\.(\d+)$", spec)
-    if not m:
-        raise CliError("--primes expects LO..HI")
-    return int(m.group(1)), int(m.group(2))
-
-
 def cmd_pstar(args) -> int:
-    if args.primes is None:
-        raise CliError("--primes is required")
-    lo, hi = _parse_prime_range(args.primes)
-    kind = parse_ordering(args)
-    max_p = int_flag(args, "max_p", 2000)
-    rows = []
-    for p in range(lo, hi + 1):
-        try:
-            modulus = PrimeModulus(p)
-        except NotPrime:
-            continue
-        if not modulus.mec_admissible:
-            continue
-        try:
-            rows.append({"p": p, "pstar": pstar(modulus, kind, max_p)})
-        except TooLarge as exc:
-            raise CliError(str(exc), EXIT_RANGE_TOO_LARGE) from exc
+    rows = [{"p": p, "pstar": pstar(PrimeModulus(p), args.ordering, args.max_p)}
+            for p in args.primes if admissible(p)]
     write_output(json.dumps(rows, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_family(args) -> int:
-    modulus = require_modulus(args)
-    kind = parse_ordering(args)
-    complete_set = resolve_complete_set(args, modulus)
-    k = int_flag(args, "k", 0)
-    if modulus.p > int_flag(args, "max_p", 5000):
-        raise CliError(f"p = {modulus.p} too large for exhaustive family "
-                       f"(raise --max-p to override)", EXIT_RANGE_TOO_LARGE)
-    result = enumerate_family(modulus, kind, complete_set, k, b_values=range(1, modulus.p))
+    modulus = args.modulus
+    complete_set = resolve_complete_set(args)
+    if modulus.p > args.max_p:
+        raise TooLarge(f"p = {modulus.p} too large for exhaustive family "
+                       f"(raise --max-p to override)")
+    result = enumerate_family(modulus, args.ordering, complete_set, args.k,
+                              b_values=range(1, modulus.p))
     boxes = result.sboxes
     fp = [analysis.fixed_points(s) for s in boxes]
     payload = {
         "p": modulus.p,
-        "ordering": kind.value,
+        "ordering": args.ordering.value,
         "m": complete_set.m,
-        "k": k,
+        "k": args.k,
         "family_size": len(boxes),
         "distinct": analysis.distinct_count(boxes),
         "avg_fixed_points": round(sum(fp) / len(fp), 4) if fp else None,
@@ -431,78 +385,77 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mecforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, curve=True, sets=True):
-        sp.add_argument("--config", help="flat key=value file mirroring the flags")
-        sp.add_argument("--p", help="prime modulus, p = 2 (mod 3)")
-        sp.add_argument("--ordering", help="natural | diffusion | modulo")
-        sp.add_argument("--m", help="S-box / residue size")
-        sp.add_argument("--k", help="cyclic shift, default 0")
-        sp.add_argument("--format", choices=["hex", "csv", "json"])
+    def command(name, func, help_text, config=True):
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        if config:
+            sp.add_argument("--config", action=ConfigFile,
+                            help="flat key=value file mirroring the flags")
         sp.add_argument("--out", help="output path (default stdout)")
+        return sp
+
+    def common(sp, fmt, curve=True, sets=True):
+        sp.add_argument("--p", dest="modulus", type=prime, required=True, metavar="P",
+                        help="prime modulus, p = 2 (mod 3)")
+        sp.add_argument("--ordering", type=ordering, required=True,
+                        help="natural | diffusion | modulo")
+        # without a complete set (gen-prn) there is no size to default --m to
+        sp.add_argument("--m", type=int, required=not sets, help="S-box / residue size")
+        sp.add_argument("--k", type=int, default=0, help="cyclic shift, default 0")
+        sp.add_argument("--format", type=output_format, default=fmt, help="hex | csv | json")
         if curve:
-            sp.add_argument("--b", help="curve coefficient (mutually exclusive with --class/--t)")
-            sp.add_argument("--class", dest="curve_class", help="c1 | c2 (with --t)")
-            sp.add_argument("--t", help="isomorphism parameter in [1, (p-1)/2]")
+            sp.add_argument("--b", type=int,
+                            help="curve coefficient (mutually exclusive with --class/--t)")
+            sp.add_argument("--class", dest="curve_class", type=curve_class,
+                            help="c1 | c2 (with --t)")
+            sp.add_argument("--t", type=int, help="isomorphism parameter in [1, (p-1)/2]")
         if sets:
-            sp.add_argument("--set", help="complete-set file or 'natural'")
+            sp.add_argument("--set", required=True, help="complete-set file or 'natural'")
 
-    sp = sub.add_parser("gen-sbox", help="generate an S-box")
-    common(sp)
-    sp.set_defaults(func=cmd_gen_sbox)
+    common(command("gen-sbox", cmd_gen_sbox, "generate an S-box"), "hex")
 
-    sp = sub.add_parser("gen-prn", help="generate a pseudo-random sequence")
-    common(sp, sets=False)
-    sp.add_argument("--A", help="y-set file or 'full' for [0, p-1]")
-    sp.set_defaults(func=cmd_gen_prn)
+    sp = command("gen-prn", cmd_gen_prn, "generate a pseudo-random sequence")
+    common(sp, "csv", sets=False)
+    sp.add_argument("--A", required=True, help="y-set file or 'full' for [0, p-1]")
 
-    sp = sub.add_parser("analyze", help="run the metric battery on an S-box or sequence file")
+    sp = command("analyze", cmd_analyze, "run the metric battery on an S-box or sequence file",
+                 config=False)
     sp.add_argument("input", help="input file, - for stdin, or 'aes' for the bundled AES S-box")
     sp.add_argument("--kind", choices=["sbox", "prn"], default="sbox")
     sp.add_argument("--format", choices=["auto", "hex", "csv", "json"], default="auto")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("count", help="count the complete-set S-box family")
-    sp.add_argument("--config")
-    sp.add_argument("--p")
-    sp.add_argument("--m")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_count)
+    sp = command("count", cmd_count, "count the complete-set S-box family")
+    sp.add_argument("--p", dest="modulus", type=prime, required=True, metavar="P")
+    sp.add_argument("--m", type=int, required=True)
 
-    sp = sub.add_parser("pstar", help="collision-size diagnostic over a prime range")
-    sp.add_argument("--config")
-    sp.add_argument("--primes", help="range LO..HI")
-    sp.add_argument("--ordering")
-    sp.add_argument("--max-p", dest="max_p", help="exhaustive guard, default 2000")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_pstar)
+    sp = command("pstar", cmd_pstar, "collision-size diagnostic over a prime range")
+    sp.add_argument("--primes", type=prime_range, required=True, metavar="LO..HI")
+    sp.add_argument("--ordering", type=ordering, required=True)
+    sp.add_argument("--max-p", type=int, default=DEFAULT_MAX_PSTAR_P,
+                    help="exhaustive guard, default %(default)s")
 
-    sp = sub.add_parser("family", help="generate and summarize the family over all b")
-    common(sp, curve=False)
-    sp.add_argument("--max-p", dest="max_p", help="exhaustive guard, default 5000")
+    sp = command("family", cmd_family, "generate and summarize the family over all b")
+    common(sp, None, curve=False)
+    sp.add_argument("--max-p", type=int, default=5000, help="exhaustive guard, default %(default)s")
     sp.add_argument("--correlation", action="store_true",
                     help="also report pairwise correlation bounds")
-    sp.set_defaults(func=cmd_family)
-
-    for sp in sub.choices.values():
-        sp.set_defaults(config_flags=config_flags(sp))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
-        merge_config(args, load_config(getattr(args, "config", None), args.config_flags))
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            command_parser, config = args.config
+            command_parser.set_defaults(**config)  # argparse runs type= on string defaults
+            args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
         return exc.code
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE_TOO_LARGE
     except MecforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        return exc.exit_code
 
 
 if __name__ == "__main__":

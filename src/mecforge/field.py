@@ -7,7 +7,7 @@ all operations are pure.
 
 from dataclasses import dataclass, field
 
-from .errors import NotAdmissible, NotCanonical, NotPrime, ZeroInput, ZeroInverse
+from .errors import MecforgeError
 
 # Deterministic Miller-Rabin witness set, valid for every n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -51,24 +51,24 @@ class PrimeModulus:
 
     def __post_init__(self):
         if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not an odd prime")
+            raise MecforgeError(f"{self.p} is not an odd prime")
         object.__setattr__(self, "mec_admissible", self.p % 3 == 2)
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.p:
-            raise NotCanonical(f"{a} is not a canonical residue mod {self.p}")
+            raise MecforgeError(f"{a} is not a canonical residue mod {self.p}")
         return a
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a, a != 0."""
         if self._check(a) == 0:
-            raise ZeroInverse(f"0 has no inverse mod {self.p}")
+            raise MecforgeError(f"0 has no inverse mod {self.p}")
         return pow(a, -1, self.p)
 
     def is_quadratic_residue(self, a: int) -> bool:
         """Euler criterion: a is a QR iff a^((p-1)/2) = 1 (mod p)."""
         if self._check(a) == 0:
-            raise ZeroInput("0 is neither a QR nor a QNR")
+            raise MecforgeError("0 is neither a QR nor a QNR")
         return pow(a, (self.p - 1) // 2, self.p) == 1
 
     def cube_root(self, a: int) -> int:
@@ -77,7 +77,7 @@ class PrimeModulus:
         The inverse exponent is d = (2p-1)/3, since 3d = 1 (mod p-1).
         """
         if not self.mec_admissible:
-            raise NotAdmissible(f"p = {self.p} is not 2 (mod 3)")
+            raise MecforgeError(f"p = {self.p} is not 2 (mod 3)")
         return pow(self._check(a), (2 * self.p - 1) // 3, self.p)
 
     def smallest_qnr(self) -> int:

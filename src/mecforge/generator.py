@@ -12,8 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (BadModulus, BadShift, DuplicateResidue, EmptySet, NotPermutation,
-                     OutOfRange, TooLarge, WrongSize)
+from .errors import MecforgeError, TooLarge
 from .field import PrimeModulus
 from .mec import MordellCurve
 from .ordering import Ordering, rank_of_y
@@ -30,17 +29,17 @@ class CompleteSet:
     @classmethod
     def validate(cls, elements: Iterable[int], m: int, modulus: PrimeModulus) -> "CompleteSet":
         if not 1 <= m <= modulus.p:  # before the elements are read: range(m) may be huge
-            raise WrongSize(f"m = {m} must lie in [1, p] = [1, {modulus.p}]")
+            raise MecforgeError(f"m = {m} must lie in [1, p] = [1, {modulus.p}]")
         elems = tuple(elements)
         if len(elems) != m:
-            raise WrongSize(f"expected {m} elements, got {len(elems)}")
+            raise MecforgeError(f"expected {m} elements, got {len(elems)}")
         seen: dict[int, int] = {}
         for e in elems:
             if not 0 <= e <= modulus.p - 1:
-                raise OutOfRange(f"element {e} outside [0, {modulus.p - 1}]")
+                raise MecforgeError(f"element {e} outside [0, {modulus.p - 1}]")
             r = e % m
             if r in seen:
-                raise DuplicateResidue(f"{seen[r]} and {e} are congruent mod {m}")
+                raise MecforgeError(f"{seen[r]} and {e} are congruent mod {m}")
             seen[r] = e
         return cls(elems, m, modulus)
 
@@ -60,7 +59,7 @@ class SBox:
 
     def __post_init__(self):
         if sorted(self.table) != list(range(self.m)):
-            raise NotPermutation("S-box table is not a permutation of [0, m-1]")
+            raise MecforgeError("S-box table is not a permutation of [0, m-1]")
 
     def provenance_dict(self) -> dict:
         return dict(self.provenance)
@@ -80,7 +79,7 @@ class SprnSequence:
 
 def _check_shift(k: int, m: int) -> None:
     if not 0 <= k < m:
-        raise BadShift(f"shift k = {k} must lie in [0, m-1]")
+        raise MecforgeError(f"shift k = {k} must lie in [0, m-1]")
 
 
 def _order_shift_reduce(curve: MordellCurve, kind: Ordering, ys: Iterable[int],
@@ -125,9 +124,11 @@ def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: i
     """
     ys = sorted(set(y_set))
     if not ys:
-        raise EmptySet("input set A is empty")
+        raise MecforgeError("input set A is empty")
+    if ys[0] < 0 or ys[-1] >= curve.p:  # y and y + p name the same point
+        raise MecforgeError(f"element {ys[0] if ys[0] < 0 else ys[-1]} outside [0, {curve.p - 1}]")
     if not 1 <= m <= len(ys):
-        raise BadModulus(f"m = {m} must lie in [1, |A|] = [1, {len(ys)}]")
+        raise MecforgeError(f"m = {m} must lie in [1, |A|] = [1, {len(ys)}]")
     _check_shift(k, m)
     prov = (("p", curve.p), ("b", curve.b), ("ordering", kind.value),
             ("A_size", len(ys)), ("m", m), ("k", k))
@@ -154,7 +155,7 @@ def count_sboxes(modulus: PrimeModulus | int, m: int) -> tuple[int, int]:
     """
     p = modulus.p if isinstance(modulus, PrimeModulus) else modulus
     if not 1 <= m <= p:
-        raise BadModulus(f"m = {m} must lie in [1, p]")
+        raise MecforgeError(f"m = {m} must lie in [1, p]")
     # CPython before 3.10.7 has neither the limit nor this function: read it as off.
     digits = getattr(sys, "get_int_max_str_digits", int)() or MAX_COUNT_DIGITS
     q, r = divmod(p, m)

@@ -12,7 +12,7 @@ representative b.
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadCoefficient, NotAdmissible
+from .errors import MecforgeError
 from .field import PrimeModulus
 
 
@@ -31,9 +31,9 @@ class MordellCurve:
 
     def __post_init__(self):
         if not self.modulus.mec_admissible:
-            raise NotAdmissible(f"p = {self.p} is not admissible (need p = 2 mod 3, p > 3)")
+            raise MecforgeError(f"p = {self.p} is not admissible (need p = 2 mod 3, p > 3)")
         if not 1 <= self.b <= self.p - 1:
-            raise BadCoefficient(f"b = {self.b} must lie in [1, p-1]")
+            raise MecforgeError(f"b = {self.b} must lie in [1, p-1]")
 
     @property
     def p(self) -> int:

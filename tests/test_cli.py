@@ -23,6 +23,7 @@ from mecforge.cli import (
     parse_sequence,
     read_text,
 )
+from mecforge.errors import MecforgeError
 from mecforge.generator import SBox, SprnSequence
 
 
@@ -67,10 +68,9 @@ def test_json_carries_provenance():
 def test_parse_integer_tokens():
     assert parse_integer_tokens("10 11 12") == [10, 11, 12]
     assert parse_integer_tokens("0a 10 ff") == [10, 16, 255]  # hex once a letter appears
-    from mecforge.cli import CliError
-    with pytest.raises(CliError):
+    with pytest.raises(MecforgeError, match="malformed integer token 'x3'"):
         parse_integer_tokens("12 x3")
-    with pytest.raises(CliError):
+    with pytest.raises(MecforgeError, match="empty integer list"):
         parse_integer_tokens("   ")
 
 
@@ -161,6 +161,11 @@ def test_config_file_fills_missing_flags(capsys, tmp_path):
     # explicit flags win over the config file
     code, out, _ = run(capsys, "gen-sbox", "--config", str(cfg), "--k", "1")
     assert out.strip() == "10,3,8,4,7,5,6,2,9,0,1"
+    # a second file adds to the first, and its keys win
+    extra = tmp_path / "extra.cfg"
+    extra.write_text("k = 2\n")
+    code, out, _ = run(capsys, "gen-sbox", "--config", str(cfg), "--config", str(extra))
+    assert code == EXIT_OK and out.strip() == "3,8,4,7,5,6,2,9,0,1,10"
 
 
 def test_config_keys_are_long_flag_names(capsys, tmp_path):
@@ -197,6 +202,27 @@ def test_config_rejects_unknown_keys(capsys, tmp_path, command, line):
     assert f"unknown key {key!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["ordering = zigzag", "class = c3", "p = abc", "format = xml",
+                                  "t = 1.5"])
+def test_config_values_are_checked_like_flags(capsys, tmp_path, line):
+    """argparse converts a string default with type= but does not check it
+    against choices=, so each flag's check lives in its type callable."""
+    settings = {"p": "11", "class": "c1", "t": "2", "ordering": "natural", "set": "natural",
+                "m": "11", "format": "csv"}
+    key, value = (part.strip() for part in line.split("="))
+    settings[key] = value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    code, out, err = run(capsys, "gen-sbox", "--config", str(cfg))
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert f"argument --{key}: " in err and "Traceback" not in err
+    # the usage line differs: a flag the file sets is no longer required
+    flags = [token for k, v in settings.items() for token in (f"--{k}", v)]
+    code, out, flag_err = run(capsys, "gen-sbox", *flags)
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert err.splitlines()[-1] == flag_err.splitlines()[-1]
+
+
 def test_read_text_closes_file(tmp_path):
     path = tmp_path / "set.txt"
     path.write_text("0 1 2\n")
@@ -231,7 +257,7 @@ def test_gen_prn_custom_set(capsys, tmp_path):
 def test_gen_prn_requires_m(capsys):
     code, _, err = run(capsys, "gen-prn", "--p", "11", "--b", "1",
                        "--ordering", "natural", "--A", "full")
-    assert code == EXIT_BAD_PARAMS and "--m is required" in err
+    assert code == EXIT_BAD_PARAMS and "the following arguments are required: --m" in err
 
 
 def test_gen_prn_full_set_guard(capsys):
@@ -240,6 +266,24 @@ def test_gen_prn_full_set_guard(capsys):
                          "--ordering", "natural", "--A", "full", "--m", "2")
     assert code == EXIT_RANGE_TOO_LARGE and out == ""
     assert err.count("\n") == 1 and "--A full" in err
+
+
+def test_gen_prn_rejects_y_values_outside_the_field(capsys, tmp_path):
+    # y and y + p name the same point, so 12 is not a second element at p = 11
+    a_file = tmp_path / "A.txt"
+    a_file.write_text("1 12")
+    code, out, err = run(capsys, "gen-prn", "--p", "11", "--b", "1",
+                         "--ordering", "natural", "--A", str(a_file), "--m", "2")
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert err == "error: element 12 outside [0, 10]\n"
+
+
+def test_gen_sbox_natural_set_guard(capsys):
+    # 1099511627831 is a prime p = 2 (mod 3); the guard refuses m before range(m) is built
+    code, out, err = run(capsys, "gen-sbox", "--p", "1099511627831", "--b", "1",
+                         "--ordering", "natural", "--set", "natural", "--m", str((1 << 22) + 1))
+    assert code == EXIT_RANGE_TOO_LARGE and out == ""
+    assert err.count("\n") == 1 and "--set natural (at most 4194304)" in err
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -365,7 +409,7 @@ def test_family_guard(capsys):
 # --- validation failures exit 2 without a traceback ------------------------------
 
 @pytest.mark.parametrize("argv, message", [
-    (["count", "--p", "abc", "--m", "5"], "--p expects an integer"),
+    (["count", "--p", "abc", "--m", "5"], "argument --p: invalid prime value: 'abc'"),
     (["count", "--p", "263", "--m", "0"], "m = 0 must lie in [1, p]"),
     (["gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural", "--set", "natural",
       "--m", "11", "--k", "20"], "shift k = 20"),
@@ -407,7 +451,8 @@ def test_malformed_analyze_input_exits_2(capsys, tmp_path, kind, text):
 # --- any flag values: an exit code of the contract, never a traceback -----------
 
 # Hypothesis favours the first entries of a pool, so the usable values lead.
-PRIMES = ["11", "5", "17", "29", "101", "2", "3", "7", "13", "31"]  # 7, 13, 31 are 1 mod 3
+# 7, 13, 31 are 1 mod 3; 1099511627831 is 2 mod 3 and above the --A full and --m guards
+PRIMES = ["11", "5", "17", "29", "101", "2", "3", "7", "13", "31", "1099511627831"]
 HOSTILE = ["0", "-1", "-12", "102", "4096", "10" * 12, "abc", "", "c3"]
 SMALL = [str(v) for v in range(1, 12)]
 VALID = {"--p": PRIMES, "--b": SMALL, "--t": SMALL, "--m": SMALL, "--k": ["0", "1", "5"],
@@ -441,10 +486,6 @@ def command_lines(draw):
 @settings(max_examples=200, deadline=None)
 def test_main_keeps_exit_code_contract(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage error
-            assert exc.code == 2
-            return
+        code = main(argv)
     assert code in {EXIT_OK, EXIT_BAD_PARAMS, EXIT_IO, EXIT_UNSUPPORTED_METRIC,
                     EXIT_RANGE_TOO_LARGE}

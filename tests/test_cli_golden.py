@@ -1,0 +1,71 @@
+"""Byte-exact CLI runs: the exit code and the sha256 of stdout and of stderr
+for fixed calls, among them the published S-box, sequences, p* values and
+counts.  They keep a change to the CLI from moving an output, a provenance
+line or an exit code by accident; a deliberate change to one of these
+outputs updates its digest here."""
+
+import hashlib
+
+import pytest
+
+from mecforge import data
+from mecforge.cli import main
+
+SET_52511 = str(data.path("complete_set_52511.txt"))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, out_digest, err_digest", [
+    pytest.param(["gen-sbox", "--p", "52511", "--b", "1", "--ordering", "natural", "--set", SET_52511], 0,
+                 "d7c33080d271c995fd4a129712a1f13f565b4b71e58f7ff4517db48975ee60b9",
+                 "882503d3b135d5d4779c3285c6706a8e528f29b026ff48d40a80662f531825b2",
+                 id="gen-sbox-golden"),
+    pytest.param(["gen-sbox", "--p", "52511", "--class", "c2", "--t", "7", "--ordering", "natural", "--set", SET_52511], 0,
+                 "903a336a7f7966cec6d1631e496f06bbecdc438e16c54f85cb511bf9c66c7701",
+                 "13513106a33b0e4079f1fb4dd8f3ccd2f32ee76136ddf99aceb3b180bdf60bd8",
+                 id="gen-sbox-class-c2-t7"),
+    pytest.param(["gen-prn", "--p", "3917", "--b", "301", "--ordering", "natural", "--A", "full", "--m", "3917"], 0,
+                 "e5068082207c4c230de4e5ea0ba5baf5e8aaf1b11ae8d4765ae5ed359c294259",
+                 "1fe1fc7f9d98026fab65e499d21abbd1d24963359e2b6ada6778f69f3e6583db",
+                 id="gen-prn-full-natural"),
+    pytest.param(["gen-prn", "--p", "3917", "--b", "301", "--ordering", "diffusion", "--A", "full", "--m", "3917"], 0,
+                 "d1a2c1bb5847d6c0aee5088366f303dfd583d1fb39de2b60ba7cc9e65b73fd37",
+                 "23ec9a774d7d8322264bf3bf2a1764cbceaf3362aaffdda05b20c2bfec137e15",
+                 id="gen-prn-full-diffusion"),
+    pytest.param(["gen-prn", "--p", "3917", "--b", "301", "--ordering", "modulo", "--A", "full", "--m", "3917"], 0,
+                 "8ecbdbb9429159f7feac3a83365d0d2be3a932cef5101eaa5d17737727b540df",
+                 "3f50e2c769886400f0b2da20c84094e32cbc39d7ef724577a651793ff350bd3c",
+                 id="gen-prn-full-modulo"),
+    pytest.param(["family", "--p", "107", "--ordering", "natural", "--set", "natural", "--m", "107", "--correlation"], 0,
+                 "b1e038a2e208251ea8b826d10ddf6cc1c35206cc849d075a145233c7a86e66a4",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="family-correlation"),
+    pytest.param(["pstar", "--primes", "11..199", "--ordering", "natural"], 0,
+                 "20af325a443b76b0d44d4f862aa3cf009c6786a2ccbf0d656c5e2b0abeaf6524",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-natural"),
+    pytest.param(["pstar", "--primes", "11..199", "--ordering", "diffusion"], 0,
+                 "7d06e3f0adb26c2cc66dd0fea1092b780dc685cb7be950f9103242252515d661",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-diffusion"),
+    pytest.param(["pstar", "--primes", "11..199", "--ordering", "modulo"], 0,
+                 "3a9ee7dd544cc474b0e2865716e13e9f12f3b81691cd30ad7d8558a78d212e9d",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-modulo"),
+    pytest.param(["analyze", "aes"], 0,
+                 "a7c051b91ce716fb6f5b03d31f55a344ab88ac6f564c953e0fbe6af416f05749",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="analyze-aes"),
+    pytest.param(["count", "--p", "263", "--m", "256"], 0,
+                 "ffd0799bd5bc11a3100c5479270e1c3309ba8f18778721a3d51798858c3dd47c",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="count"),
+])
+def test_cli_output_is_byte_exact(capsys, argv, code, out_digest, err_digest):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert sha256(captured.out) == out_digest
+    assert sha256(captured.err) == err_digest

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecforge.errors import (BadModulus, BadShift, DuplicateResidue, EmptySet, NotPermutation,
-                             OutOfRange, TooLarge, WrongSize, ZeroInverse)
+from mecforge.errors import MecforgeError, TooLarge
 from mecforge.field import PrimeModulus, is_prime
 from mecforge.generator import (
     CompleteSet,
@@ -48,11 +47,11 @@ def test_validate_natural(mod11):
 
 
 def test_validate_errors(mod11):
-    with pytest.raises(DuplicateResidue):
+    with pytest.raises(MecforgeError, match="0 and 2 are congruent mod 2"):
         CompleteSet.validate([0, 2], 2, mod11)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(MecforgeError, match=r"element 11 outside \[0, 10\]"):
         CompleteSet.validate([0, 11], 2, mod11)
-    with pytest.raises(WrongSize):
+    with pytest.raises(MecforgeError, match="expected 2 elements, got 3"):
         CompleteSet.validate([0, 1, 2], 2, mod11)
 
 
@@ -97,14 +96,14 @@ def test_sbox_iso_identity_parameter(mod11):
 def test_sbox_iso_errors(mod11):
     rep = MordellCurve(mod11, 1)
     cs = CompleteSet.natural(11, mod11)
-    with pytest.raises(ZeroInverse):
+    with pytest.raises(MecforgeError, match="0 has no inverse mod 11"):
         sbox_iso(rep, 0, Ordering.NATURAL, cs, 0)
-    with pytest.raises(BadShift):
+    with pytest.raises(MecforgeError, match=r"shift k = 11 must lie in \[0, m-1\]"):
         sbox_iso(rep, 0, Ordering.NATURAL, cs, 11)  # the shift is checked first
 
 
 def test_sbox_rejects_non_permutation():
-    with pytest.raises(NotPermutation):
+    with pytest.raises(MecforgeError, match="not a permutation"):
         SBox((0, 0, 1), 3)
     with pytest.raises(ValueError):
         SBox((0, 1), 3)
@@ -150,10 +149,15 @@ def test_sprn_modulus_one(curve_11_1):
 
 
 def test_sprn_errors(curve_11_1):
-    with pytest.raises(EmptySet):
+    with pytest.raises(MecforgeError, match="input set A is empty"):
         sprn(curve_11_1, Ordering.NATURAL, [], 1, 0)
-    with pytest.raises(BadModulus):
+    with pytest.raises(MecforgeError, match=r"m = 6 must lie in \[1, \|A\|\] = \[1, 5\]"):
         sprn(curve_11_1, Ordering.NATURAL, range(5), 6, 0)
+    # y, y + p and y - p name one point: the set must lie in [0, p-1]
+    with pytest.raises(MecforgeError, match=r"element -10 outside \[0, 10\]"):
+        sprn(curve_11_1, Ordering.NATURAL, [1, 12, -10], 3, 0)
+    with pytest.raises(MecforgeError, match=r"element 11 outside \[0, 10\]"):
+        sprn(curve_11_1, Ordering.NATURAL, range(12), 3, 0)
 
 
 @given(st.sampled_from([p for p in SMALL_ADMISSIBLE if p >= 11]),
