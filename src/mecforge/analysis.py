@@ -70,20 +70,23 @@ def _derivative_planes(outputs: Sequence[int], inputs: Sequence[int]) -> list[li
     return table
 
 
-def _sac(derivatives: list[list[int]]) -> list[list[Fraction]]:
-    n = len(derivatives)
-    return [[Fraction(derivatives[j][i].bit_count(), 1 << n) for j in range(n)]
-            for i in range(n)]
+def _sac_range(derivatives: list[list[int]]) -> tuple[Fraction, Fraction]:
+    """Least and greatest SAC entry: the share of inputs at which flipping
+    input bit j flips output bit i."""
+    counts = [plane.bit_count() for row in derivatives for plane in row]
+    size = 1 << len(derivatives)
+    return Fraction(min(counts), size), Fraction(max(counts), size)
 
 
-def _bic(derivatives: list[list[int]]) -> list[list[Optional[Fraction]]]:
+def _bic_range(derivatives: list[list[int]]) -> tuple[Optional[Fraction], Optional[Fraction]]:
+    """Least and greatest BIC entry over the output-bit pairs i < r, or
+    (None, None) for a 2-entry S-box, which has no pair."""
     n = len(derivatives)
-    matrix: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for r in range(i + 1, n):
-            total = sum((d[i] ^ d[r]).bit_count() for d in derivatives)
-            matrix[i][r] = matrix[r][i] = Fraction(total, n << n)
-    return matrix
+    totals = [sum((d[i] ^ d[r]).bit_count() for d in derivatives)
+              for i in range(n) for r in range(i + 1, n)]
+    if not totals:
+        return None, None
+    return Fraction(min(totals), n << n), Fraction(max(totals), n << n)
 
 
 def dap(sbox: SBox) -> Fraction:
@@ -98,13 +101,6 @@ def dap(sbox: SBox) -> Fraction:
             counts[table[x ^ dx] ^ table[x]] += 1
         best = max(best, max(counts))
     return Fraction(best, 1 << n)
-
-
-def _span(matrix) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    """Least and greatest entry, skipping the None diagonal of a BIC matrix;
-    (None, None) when only the diagonal exists (a 1-bit S-box's BIC)."""
-    entries = [e for row in matrix for e in row if e is not None]
-    return (min(entries), max(entries)) if entries else (None, None)
 
 
 def fixed_points(sbox: SBox) -> int:
@@ -162,8 +158,8 @@ def analyze_sbox(sbox: SBox) -> AnalysisReport:
     outputs, inputs = _bit_planes(sbox.table, n), _bit_planes(range(sbox.m), n)
     walsh = _max_abs_walsh(outputs, inputs)
     derivatives = _derivative_planes(outputs, inputs)
-    sac_lo, sac_hi = _span(_sac(derivatives))
-    bic_lo, bic_hi = _span(_bic(derivatives))
+    sac_lo, sac_hi = _sac_range(derivatives)
+    bic_lo, bic_hi = _bic_range(derivatives)
     return AnalysisReport(
         nl=(1 << (n - 1)) - walsh // 2,
         lap=Fraction(walsh, 1 << (n + 1)),

@@ -39,7 +39,7 @@ EXIT_UNSUPPORTED_METRIC = NotPowerOfTwo.exit_code
 EXIT_RANGE_TOO_LARGE = TooLarge.exit_code
 
 # gen-prn --A full and gen-sbox --set natural order up to this many ys, at
-# about 200 bytes of memory each: about 1 GB at this bound.
+# up to about 230 bytes of peak RSS each (modulo order): about 1 GB here.
 MAX_ORDERED_YS = 1 << 22
 
 
@@ -344,6 +344,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_pstar(args) -> int:
+    # Before any work: the largest admissible p is a few tests from the top end.
+    top = next((p for p in reversed(args.primes) if admissible(p)), None)
+    if top is not None and top > args.max_p:
+        raise TooLarge(f"p = {top} exceeds the exhaustive guard {args.max_p}")
     rows = [{"p": p, "pstar": pstar(PrimeModulus(p), args.ordering, args.max_p)}
             for p in args.primes if admissible(p)]
     write_output(json.dumps(rows, indent=2) + "\n", args.out)
@@ -353,6 +357,8 @@ def cmd_pstar(args) -> int:
 def cmd_family(args) -> int:
     modulus = args.modulus
     complete_set = resolve_complete_set(args)
+    if args.correlation and complete_set.m < 2:
+        raise MecforgeError(f"--correlation needs m >= 2, got m = {complete_set.m}")
     if modulus.p > args.max_p:
         raise TooLarge(f"p = {modulus.p} too large for exhaustive family "
                        f"(raise --max-p to override)")

@@ -1,8 +1,8 @@
 """Arithmetic over the prime field F_p.
 
-Includes quadratic-residue testing and the cube-root bijection that exists
-exactly when p = 2 (mod 3).  All values are canonical residues in [0, p-1];
-all operations are pure.
+Primality, inverses and quadratic-residue testing.  All values are
+canonical residues in [0, p-1]; all operations are pure.  Cube roots, which
+exist uniquely exactly when p = 2 (mod 3), are taken in `mec.points`.
 """
 
 from dataclasses import dataclass, field
@@ -70,15 +70,6 @@ class PrimeModulus:
         if self._check(a) == 0:
             raise MecforgeError("0 is neither a QR nor a QNR")
         return pow(a, (self.p - 1) // 2, self.p) == 1
-
-    def cube_root(self, a: int) -> int:
-        """The unique cube root of a; cubing is a bijection when p = 2 (mod 3).
-
-        The inverse exponent is d = (2p-1)/3, since 3d = 1 (mod p-1).
-        """
-        if not self.mec_admissible:
-            raise MecforgeError(f"p = {self.p} is not 2 (mod 3)")
-        return pow(self._check(a), (2 * self.p - 1) // 3, self.p)
 
     def smallest_qnr(self) -> int:
         """Smallest quadratic non-residue in [2, p-1]."""

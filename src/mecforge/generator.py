@@ -202,8 +202,10 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
                      b_values: Iterable[int]) -> FamilyResult:
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
-    Per-item failures are collected, not raised.
+    A shift k outside [0, m-1] is refused once, before any curve; per-curve
+    failures are collected, not raised.
     """
+    _check_shift(k, complete_set.m)
     result = FamilyResult([], [])
     for b in b_values:
         try:

@@ -2,7 +2,7 @@
 
 Because cubing is a bijection on F_p for such primes, every y in [0, p-1]
 appears exactly once as a y-coordinate, so the curve has exactly p affine
-points and point lookup by y-coordinate is a single cube root (`x_for_y`,
+points and point lookup by y-coordinate is a single cube root (`points`,
 the package's only x-lookup).  The group law is never used, nor is the
 isomorphism (x, y) -> (t^2 x, t^3 y) as a map on points: an isomorphism
 class and a parameter t only select the curve E_{p, t^6 b} for the class
@@ -11,6 +11,7 @@ representative b.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
 from .errors import MecforgeError
 from .field import PrimeModulus
@@ -40,9 +41,12 @@ class MordellCurve:
         return self.modulus.p
 
 
-def x_for_y(curve: MordellCurve, y: int) -> int:
-    """The unique x with (x, y) on the curve: x = cbrt(y^2 - b)."""
-    return curve.modulus.cube_root((y * y - curve.b) % curve.p)
+def points(curve: MordellCurve, ys: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The point (x, y) of each y of ys, in their order: x = (y^2 - b)^d mod p
+    with d = (2p-1)/3, the cube root because 3d = 1 (mod p-1) for p = 2 (mod 3)."""
+    p, b = curve.p, curve.b
+    d = (2 * p - 1) // 3
+    return ((pow((y * y - b) % p, d, p), y) for y in ys)
 
 
 def representative(modulus: PrimeModulus, curve_class: CurveClass) -> int:

@@ -4,13 +4,13 @@ Three strict total orders are supported: natural (lexicographic on (x, y)),
 diffusion (integer coordinate sum, ties by x) and modulo diffusion
 (coordinate sum mod p, ties by x).  Because each y in [0, p-1] lies on
 exactly one point, every order on points induces an order on any subset of
-y-values.
+y-values: `rank_of_y` sorts the points `mec.points` finds for them.
 """
 
 from enum import Enum
 from typing import Iterable
 
-from .mec import MordellCurve, x_for_y
+from .mec import MordellCurve, points
 
 
 class Ordering(Enum):
@@ -28,21 +28,14 @@ class Ordering(Enum):
 
 
 def rank_of_y(kind: Ordering, curve: MordellCurve, ys: Iterable[int]) -> list[int]:
-    """y-values sorted by the curve-order position of their unique points.
-
-    Each y is sorted by the order's key on its point (x_for_y(curve, y), y).
-    """
+    """y-values sorted by the curve-order position of their unique points:
+    one pass over `points` builds each y's sort key, which ends in that y."""
+    pts = points(curve, ys)
     if kind is Ordering.NATURAL:
-        def key(y):
-            return x_for_y(curve, y), y
+        keys = sorted(pts)
     elif kind is Ordering.DIFFUSION:
-        def key(y):
-            x = x_for_y(curve, y)
-            return x + y, x
+        keys = sorted([(x + y, x, y) for x, y in pts])
     else:
         p = curve.p
-
-        def key(y):
-            x = x_for_y(curve, y)
-            return (x + y) % p, x
-    return sorted(ys, key=key)
+        keys = sorted([((x + y) % p, x, y) for x, y in pts])
+    return [key[-1] for key in keys]

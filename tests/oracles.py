@@ -24,6 +24,12 @@ def brute_force_points(p: int, b: int) -> list[tuple[int, int]]:
             if (y * y - x * x * x - b) % p == 0]
 
 
+def brute_force_cube_roots(p: int) -> dict[int, int]:
+    """a -> x with x^3 = a (mod p), by cubing every x in [0, p-1]; it has p
+    entries exactly when cubing is a bijection."""
+    return {x * x * x % p: x for x in range(p)}
+
+
 def brute_force_squares(p: int) -> set[int]:
     return {x * x % p for x in range(1, p)}
 
@@ -93,7 +99,7 @@ def sbox_transport(p: int, b_rep: int, t: int, kind: Ordering, elements, k: int)
     on the representative curve in a table of all cubes, and the point is
     pushed forward to (t^2 x', y); the target curve is never searched.
     """
-    cube_root = {x * x * x % p: x for x in range(p)}
+    cube_root = brute_force_cube_roots(p)
     t_inv3 = pow(t, -3, p)
     points = []
     for y in elements:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecforge import cli
 from mecforge.cli import (
     EXIT_BAD_PARAMS,
     EXIT_IO,
@@ -390,6 +391,22 @@ def test_pstar_guard_exit_code(capsys):
     assert code == EXIT_RANGE_TOO_LARGE
 
 
+def test_pstar_guard_is_checked_before_any_work(capsys, monkeypatch):
+    """The range's largest admissible prime is held to --max-p before the
+    first p is computed; a range whose top end is not admissible passes."""
+    def refuse(*args):
+        raise AssertionError("pstar ran before the guard was checked")
+
+    monkeypatch.setattr(cli, "pstar", refuse)
+    code, out, err = run(capsys, "pstar", "--primes", "11..2003", "--ordering", "natural")
+    assert code == EXIT_RANGE_TOO_LARGE and out == ""
+    assert "p = 2003 exceeds the exhaustive guard 2000" in err
+    monkeypatch.setattr(cli, "pstar", lambda modulus, kind, max_p: modulus.p)
+    code, out, _ = run(capsys, "pstar", "--primes", "11..100", "--ordering", "natural",
+                       "--max-p", "89")
+    assert code == EXIT_OK and json.loads(out)[-1] == {"p": 89, "pstar": 89}
+
+
 def test_family_summary(capsys):
     code, out, _ = run(capsys, "family", "--p", "11", "--ordering", "natural",
                        "--set", "natural", "--m", "11", "--correlation")
@@ -419,12 +436,20 @@ def test_family_guard(capsys):
       "--set", "natural", "--m", "11"], "unknown curve class 'bogus'"),
     (["gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural", "--set", "natural",
       "--m", "1" + "0" * 30], "must lie in [1, p] = [1, 11]"),
+    (["family", "--p", "11", "--ordering", "natural", "--set", "natural",
+      "--m", "11", "--k", "20"], "shift k = 20 must lie in [0, m-1]"),
+    (["family", "--p", "11", "--ordering", "natural", "--set", "natural",
+      "--m", "11", "--k", "20", "--correlation"], "shift k = 20 must lie in [0, m-1]"),
+    (["family", "--p", "11", "--ordering", "natural", "--set", "natural",
+      "--m", "1", "--correlation"], "--correlation needs m >= 2"),
 ], ids=["non-integer-p", "count-m-zero", "sbox-k-too-large", "prn-k-too-large",
-        "unknown-class", "natural-set-m-too-large"])
+        "unknown-class", "natural-set-m-too-large", "family-k-too-large",
+        "family-correlation-k-too-large", "family-correlation-m-1"])
 def test_invalid_parameters_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_PARAMS and out == ""
     assert message in err and "Traceback" not in err
+    assert err.startswith("usage:") or len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind, text", [
@@ -466,6 +491,7 @@ COMMANDS = {  # command: (flags always given, flags drawn)
     "family": (["--set", "natural"], ["--p", "--ordering", "--m", "--k", "--max-p"]),
 }
 CURVE_FLAGS = [["--b"], ["--class", "--t"], ["--b", "--t"]]
+SWITCHES = {"family": ["--correlation"]}  # flags without a value, drawn given or not
 
 
 @st.composite
@@ -479,6 +505,7 @@ def command_lines(draw):
         if draw(st.sampled_from(["given"] * 9 + ["left out"])) == "given":
             hostile = draw(st.sampled_from([False] * 3 + [True]))
             argv += [flag, draw(st.sampled_from(HOSTILE if hostile else VALID[flag]))]
+    argv += [switch for switch in SWITCHES.get(command, []) if draw(st.booleans())]
     return argv
 
 

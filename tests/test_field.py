@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from mecforge.errors import MecforgeError
 from mecforge.field import PrimeModulus, is_prime
+from mecforge.mec import MordellCurve, points
 
 from conftest import SMALL_ADMISSIBLE
 
@@ -60,28 +61,20 @@ def test_qr_count_is_half(p):
     assert sum(m.is_quadratic_residue(a) for a in range(1, p)) == (p - 1) // 2
 
 
-def test_cube_root_examples():
-    m = PrimeModulus(11)
-    assert m.cube_root(8) == 2
-    assert m.cube_root(1) == 1
-    assert m.cube_root(10) == 10  # 10^3 = 1000 = 10 (mod 11)
-    with pytest.raises(MecforgeError, match=r"p = 7 is not 2 \(mod 3\)"):
-        PrimeModulus(7).cube_root(3)
-
-
-@given(admissible)
-@settings(max_examples=20)
-def test_cube_root_is_bijection(p):
-    m = PrimeModulus(p)
-    roots = [m.cube_root(a) for a in range(p)]
-    assert sorted(roots) == list(range(p))
-    assert all((r * r % p) * r % p == a for a, r in enumerate(roots))
-
-
 def test_smallest_qnr():
     assert PrimeModulus(11).smallest_qnr() == 2
     assert PrimeModulus(7).smallest_qnr() == 3
     assert PrimeModulus(3).smallest_qnr() == 2
+
+
+def test_cube_root_examples():
+    # the point with y = 0 on y^2 = x^3 + b has x = cbrt(-b)
+    m = PrimeModulus(11)
+    assert list(points(MordellCurve(m, 3), [0])) == [(2, 0)]  # cbrt(8) = 2
+    assert list(points(MordellCurve(m, 10), [0])) == [(1, 0)]  # cbrt(1) = 1
+    assert list(points(MordellCurve(m, 1), [0])) == [(10, 0)]  # 10^3 = 1000 = 10 (mod 11)
+    with pytest.raises(MecforgeError, match="p = 7 is not admissible"):
+        MordellCurve(PrimeModulus(7), 4)  # p = 1 (mod 3): cubing is not a bijection
 
 
 @given(admissible, st.integers(1, 10 ** 6))

@@ -246,6 +246,13 @@ def test_family_collects_per_item_errors(mod11):
     assert len(result.errors) == 1 and result.errors[0][0] == 0
 
 
+def test_family_refuses_a_bad_shift_once(mod11):
+    """k is one parameter of the whole family: refused, not collected per curve."""
+    cs = CompleteSet.natural(11, mod11)
+    with pytest.raises(MecforgeError, match=r"shift k = 11 must lie in \[0, m-1\]"):
+        enumerate_family(mod11, Ordering.NATURAL, cs, 11, b_values=range(1, 11))
+
+
 def test_family_over_t_covers_all_curves(mod11):
     """The representatives of both classes and t in [1, (p-1)/2] reach every curve."""
     cs = CompleteSet.natural(11, mod11)

@@ -4,10 +4,11 @@ from hypothesis import strategies as st
 
 from mecforge.errors import MecforgeError
 from mecforge.field import PrimeModulus
-from mecforge.mec import CurveClass, MordellCurve, representative, x_for_y
+from mecforge.mec import CurveClass, MordellCurve, points, representative
 
 from conftest import SMALL_ADMISSIBLE
-from oracles import brute_force_points, iso_map_point, iso_param
+from oracles import (brute_force_cube_roots, brute_force_points, iso_map_point, iso_param,
+                     trial_point)
 
 admissible = st.sampled_from([p for p in SMALL_ADMISSIBLE if p > 3])
 
@@ -25,8 +26,8 @@ def on_curve(p: int, b: int, point: tuple[int, int]) -> bool:
 def test_curve_validation(mod11):
     with pytest.raises(ValueError):
         MordellCurve(mod11, 0)
-    with pytest.raises(ValueError):
-        MordellCurve(PrimeModulus(7), 1)  # p = 1 (mod 3)
+    with pytest.raises(ValueError, match="p = 7 is not admissible"):
+        MordellCurve(PrimeModulus(7), 1)  # p = 1 (mod 3): cubing is not a bijection
     # both are package errors as well, so the CLI maps them to exit 2
     with pytest.raises(MecforgeError, match=r"b = 11 must lie in \[1, p-1\]") as bad_b:
         MordellCurve(mod11, 11)
@@ -36,24 +37,44 @@ def test_curve_validation(mod11):
 
 
 def test_x_for_y_examples(curve_11_1):
-    assert x_for_y(curve_11_1, 1) == 0
-    assert x_for_y(curve_11_1, 0) == 10
-    assert x_for_y(curve_11_1, 3) == 2
+    # x = cbrt(y^2 - 1): cbrt(0) = 0, cbrt(10) = 10 (10^3 = 1000 = 10 mod 11), cbrt(8) = 2
+    assert list(points(curve_11_1, [1, 0, 3])) == [(0, 1), (10, 0), (2, 3)]
+    assert list(points(curve_11_1, [])) == []
 
 
 def test_enumerate_points_matches_brute_force(curve_11_1):
-    pts = sorted((x_for_y(curve_11_1, y), y) for y in range(11))
+    pts = sorted(points(curve_11_1, range(11)))
     assert pts == brute_force_points(11, 1)
     assert pts == [
         (0, 1), (0, 10), (2, 3), (2, 8), (5, 4), (5, 7),
         (7, 5), (7, 6), (9, 2), (9, 9), (10, 0)]
 
 
+@given(curves(), st.data())
+@settings(max_examples=30)
+def test_points_match_trial_search(curve, data):
+    """Any ys, in any order and with repeats, give their points in that order."""
+    ys = data.draw(st.lists(st.integers(0, curve.p - 1), max_size=2 * curve.p))
+    assert list(points(curve, iter(ys))) == [trial_point(curve.p, curve.b, y) for y in ys]
+
+
+@given(admissible)
+@settings(max_examples=20)
+def test_points_take_every_cube_root(p):
+    """y = 0 on E_{p, b} has x = cbrt(-b), so the curves over p reach the
+    cube root of every non-zero residue."""
+    cbrt = brute_force_cube_roots(p)
+    assert len(cbrt) == p  # cubing is a bijection for p = 2 (mod 3)
+    modulus = PrimeModulus(p)
+    for b in range(1, p):
+        assert list(points(MordellCurve(modulus, b), [0])) == [(cbrt[-b % p], 0)]
+
+
 @given(curves())
 @settings(max_examples=30)
 def test_point_count_and_y_coverage(curve):
-    """x_for_y over every y finds all p points of the curve and no others."""
-    pts = [(x_for_y(curve, y), y) for y in range(curve.p)]
+    """points over every y finds all p points of the curve and no others."""
+    pts = list(points(curve, range(curve.p)))
     assert sorted(pts) == brute_force_points(curve.p, curve.b)
 
 
@@ -98,7 +119,7 @@ def test_iso_map_is_class_preserving_bijection(curve, data):
     t = data.draw(st.integers(1, p - 1))
     b2 = pow(t, 6, p) * curve.b % p
     assert modulus.is_quadratic_residue(b2) == modulus.is_quadratic_residue(curve.b)
-    pts = [(x_for_y(curve, y), y) for y in range(p)]
+    pts = list(points(curve, range(p)))
     images = [iso_map_point(pt, t, p) for pt in pts]
     assert all(on_curve(p, b2, img) for img in images)
     assert len(set(images)) == len(pts)
@@ -137,6 +158,6 @@ def test_iso_y_set_image_example(mod11):
     assert image == [0, 1, 2, 3, 5, 6, 7, 8, 9, 10]
 
 
-def test_x_for_y_agrees_with_membership(curve_11_1):
-    for y in range(11):
-        assert on_curve(11, 1, (x_for_y(curve_11_1, y), y))
+def test_points_agree_with_membership(curve_11_1):
+    for point in points(curve_11_1, range(11)):
+        assert on_curve(11, 1, point)

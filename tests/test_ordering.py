@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecforge import mec, ordering
 from mecforge.field import PrimeModulus
 from mecforge.generator import CompleteSet, sbox_direct
-from mecforge.mec import MordellCurve, x_for_y
+from mecforge.mec import MordellCurve, points
 from mecforge.ordering import Ordering, rank_of_y
 
 from conftest import SMALL_ADMISSIBLE
-from oracles import ordering_key
+from oracles import brute_force_points, ordering_key
 
 ALL_ORDERINGS = list(Ordering)
 
@@ -56,7 +57,7 @@ def test_strict_total_order(kind, p):
 
 
 def test_natural_sort_pairs_adjacent(curve_11_1):
-    pts = [(x_for_y(curve_11_1, y), y) for y in rank_of_y(Ordering.NATURAL, curve_11_1, range(11))]
+    pts = list(points(curve_11_1, rank_of_y(Ordering.NATURAL, curve_11_1, range(11))))
     xs = [x for x, _ in pts]
     assert xs == sorted(xs)
     # each x != x_of_y0 carries the conjugate pair (x, y), (x, p-y) adjacently
@@ -71,8 +72,7 @@ def test_rank_of_y_matches_full_sort(p, kind, data):
     modulus = PrimeModulus(p)
     b = data.draw(st.integers(1, p - 1))
     curve = MordellCurve(modulus, b)
-    points = [(x_for_y(curve, y), y) for y in range(p)]
-    full = [y for _, y in sorted(points, key=ordering_key(kind, p))]
+    full = [y for _, y in sorted(brute_force_points(p, b), key=ordering_key(kind, p))]
     assert rank_of_y(kind, curve, range(p)) == full
     subset = data.draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p))
     ranked = rank_of_y(kind, curve, subset)
@@ -119,7 +119,20 @@ def test_ordered_complete_set_reference(curve_52511_1, reference_set_52511, gold
 
 
 def test_ordering_matches_oracle_keys(curve_11_1):
-    points = {y: (x_for_y(curve_11_1, y), y) for y in range(11)}
+    by_y = {y: (x, y) for x, y in brute_force_points(11, 1)}
     for kind in ALL_ORDERINGS:
-        ours = [points[y] for y in rank_of_y(kind, curve_11_1, range(11))]
-        assert ours == sorted(points.values(), key=ordering_key(kind, 11))
+        ours = [by_y[y] for y in rank_of_y(kind, curve_11_1, range(11))]
+        assert ours == sorted(by_y.values(), key=ordering_key(kind, 11))
+
+
+def test_rank_of_y_looks_up_points_once_per_call(monkeypatch, curve_11_1):
+    calls = []
+
+    def counted(curve, ys):
+        calls.append(curve)
+        return mec.points(curve, ys)
+
+    monkeypatch.setattr(ordering, "points", counted)
+    for kind in ALL_ORDERINGS:
+        assert sorted(rank_of_y(kind, curve_11_1, range(11))) == list(range(11))
+    assert calls == [curve_11_1] * len(ALL_ORDERINGS)
