@@ -16,8 +16,12 @@ from statistics import correlation as _pearson
 from typing import Optional, Sequence
 
 from . import gf256
-from .errors import MecforgeError, NotPowerOfTwo
+from .errors import MecforgeError, NotPowerOfTwo, TooLarge
 from .generator import SBox, SprnSequence
+
+# analyze_sbox refuses more than 2^12 entries: its time grows about 5x per
+# input bit, to 14 s at 2^12 (CPython 3.11, one core of a shared 2-vCPU host).
+MAX_ANALYZE_BITS = 12
 
 
 def _nbits(sbox: SBox) -> int:
@@ -150,11 +154,15 @@ class AnalysisReport:
 def analyze_sbox(sbox: SBox) -> AnalysisReport:
     """Full metric battery; AC is reported as None for sizes other than 256,
     and the BIC range as None for 2-entry S-boxes, which have one output bit.
+    An S-box of more than 2**MAX_ANALYZE_BITS entries is refused as TooLarge.
 
     The bit planes, the Walsh spectrum's maximum and the derivative table are
     each built once and shared by the metrics that read them.
     """
     n = _nbits(sbox)
+    if n > MAX_ANALYZE_BITS:
+        raise TooLarge(f"S-box size {sbox.m} too large to analyze "
+                       f"(at most {1 << MAX_ANALYZE_BITS})")
     outputs, inputs = _bit_planes(sbox.table, n), _bit_planes(range(sbox.m), n)
     walsh = _max_abs_walsh(outputs, inputs)
     derivatives = _derivative_planes(outputs, inputs)

@@ -2,6 +2,8 @@
 
 Subcommands: gen-sbox, gen-prn, analyze, count, pstar, family.
 stdout carries data, stderr carries diagnostics and provenance lines.
+gen-sbox and gen-prn write hex, CSV or JSON (--format); analyze reads what
+they write and tells the three apart by shape; the others print JSON.
 Exit codes: 0 success, 2 invalid parameters, 3 I/O failure, 4 a metric was
 not applicable to the input size, 5 exhaustive range too large.  Each class
 in `errors` carries its code; argparse's usage errors exit 2.  Each flag's
@@ -48,18 +50,23 @@ MAX_ORDERED_YS = 1 << 22
 _HEX_RE = re.compile(r"^[0-9a-fA-F]+$")
 
 
+def _hex_tokens(text: str) -> list[str]:
+    tokens = text.split()
+    for tok in tokens:
+        if not _HEX_RE.match(tok):
+            raise MecforgeError(f"malformed integer token {tok!r}")
+    return tokens
+
+
 def parse_integer_tokens(text: str) -> list[int]:
-    """Whitespace-separated integers, hex or decimal.
+    """Whitespace-separated integers, hex or decimal: complete-set and --A files.
 
     Tokens are read as hex when at least one contains a hex letter (the
     published complete-set format), decimal otherwise.
     """
-    tokens = text.split()
+    tokens = _hex_tokens(text)
     if not tokens:
         raise MecforgeError("empty integer list")
-    for tok in tokens:
-        if not _HEX_RE.match(tok):
-            raise MecforgeError(f"malformed integer token {tok!r}")
     base = 16 if any(re.search(r"[a-fA-F]", t) for t in tokens) else 10
     return [int(t, base) for t in tokens]
 
@@ -98,16 +105,10 @@ def format_sbox(sbox: SBox, fmt: str) -> str:
     raise MecforgeError(f"unknown format {fmt!r}")
 
 
-def parse_sbox(text: str, fmt: str = "auto") -> SBox:
+def parse_sbox(text: str) -> SBox:
+    """An S-box as `format_sbox` writes it: JSON, CSV or hex, told apart by shape."""
     text = text.strip()
-    if fmt == "auto":
-        if text.startswith("{"):
-            fmt = "json"
-        elif "," in text:
-            fmt = "csv"
-        else:
-            fmt = "hex"
-    if fmt == "json":
+    if text.startswith("{"):
         payload = json.loads(text)
         table, prov = payload["table"], payload.get("provenance", {})
         if not (isinstance(table, list) and all(type(v) is int for v in table)
@@ -115,25 +116,19 @@ def parse_sbox(text: str, fmt: str = "auto") -> SBox:
             raise MecforgeError(
                 "a JSON S-box needs an integer list 'table' and an object 'provenance'")
         return SBox(tuple(table), payload.get("m", len(table)), tuple(sorted(prov.items())))
-    if fmt == "csv":
+    if "," in text:
         table = [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
         return SBox(tuple(table), len(table))
-    # hex: entries are fixed-width.  Short equal-length tokens are one entry
-    # each; otherwise the digits are concatenated rows and the width is the
-    # smallest one that decodes to a permutation.
-    tokens = text.split()
-    digits = "".join(tokens)
-    if not digits or not _HEX_RE.match(digits):
+    # hex: format_sbox's fixed-width entries at w = max(2, hex digits of
+    # m - 1), the least w >= 2 with len(digits) = m * w <= w * 16**w.
+    digits = "".join(text.split())
+    width = 2
+    while len(digits) > width * 16 ** width:
+        width += 1
+    if not digits or len(digits) % width or not _HEX_RE.match(digits):
         raise MecforgeError("malformed hex S-box file")
-    if len(tokens) > 1 and len(tokens[0]) <= 4 and all(len(t) == len(tokens[0]) for t in tokens):
-        widths = [len(tokens[0])]
-    else:
-        widths = [w for w in (2, 3, 4) if len(digits) % w == 0]
-    for width in widths:
-        table = [int(digits[i:i + width], 16) for i in range(0, len(digits), width)]
-        if sorted(table) == list(range(len(table))):
-            return SBox(tuple(table), len(table))
-    raise MecforgeError("malformed hex S-box file")
+    table = [int(digits[i:i + width], 16) for i in range(0, len(digits), width)]
+    return SBox(tuple(table), len(table))
 
 
 def format_sequence(seq: SprnSequence, fmt: str) -> str:
@@ -149,6 +144,7 @@ def format_sequence(seq: SprnSequence, fmt: str) -> str:
 
 
 def parse_sequence(text: str) -> list[int]:
+    """A sequence as `format_sequence` writes it: whitespace-separated tokens are hex."""
     text = text.strip()
     if text.startswith("{"):
         values = json.loads(text)["values"]
@@ -157,7 +153,7 @@ def parse_sequence(text: str) -> list[int]:
         return values
     if "," in text:
         return [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
-    return parse_integer_tokens(text)
+    return [int(t, 16) for t in _hex_tokens(text)]
 
 
 # --- flag types ----------------------------------------------------------------
@@ -318,7 +314,7 @@ def cmd_analyze(args) -> int:
         write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return EXIT_OK
     try:
-        sbox = parse_sbox(text, args.format)
+        sbox = parse_sbox(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise MecforgeError(f"malformed S-box input: {exc}") from exc
     try:
@@ -400,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default stdout)")
         return sp
 
-    def common(sp, fmt, curve=True, sets=True):
+    def common(sp, fmt=None, sets=True):
         sp.add_argument("--p", dest="modulus", type=prime, required=True, metavar="P",
                         help="prime modulus, p = 2 (mod 3)")
         sp.add_argument("--ordering", type=ordering, required=True,
@@ -408,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         # without a complete set (gen-prn) there is no size to default --m to
         sp.add_argument("--m", type=int, required=not sets, help="S-box / residue size")
         sp.add_argument("--k", type=int, default=0, help="cyclic shift, default 0")
-        sp.add_argument("--format", type=output_format, default=fmt, help="hex | csv | json")
-        if curve:
+        if fmt:  # a generator, with a curve; family sweeps every b and prints JSON
+            sp.add_argument("--format", type=output_format, default=fmt, help="hex | csv | json")
             sp.add_argument("--b", type=int,
                             help="curve coefficient (mutually exclusive with --class/--t)")
             sp.add_argument("--class", dest="curve_class", type=curve_class,
@@ -428,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                  config=False)
     sp.add_argument("input", help="input file, - for stdin, or 'aes' for the bundled AES S-box")
     sp.add_argument("--kind", choices=["sbox", "prn"], default="sbox")
-    sp.add_argument("--format", choices=["auto", "hex", "csv", "json"], default="auto")
 
     sp = command("count", cmd_count, "count the complete-set S-box family")
     sp.add_argument("--p", dest="modulus", type=prime, required=True, metavar="P")
@@ -441,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exhaustive guard, default %(default)s")
 
     sp = command("family", cmd_family, "generate and summarize the family over all b")
-    common(sp, None, curve=False)
+    common(sp)
     sp.add_argument("--max-p", type=int, default=5000, help="exhaustive guard, default %(default)s")
     sp.add_argument("--correlation", action="store_true",
                     help="also report pairwise correlation bounds")

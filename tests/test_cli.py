@@ -55,9 +55,10 @@ def test_hex_format_layout():
 
 
 def test_hex_width_scales_with_m():
-    box = SBox(tuple(range(300)), 300)
-    text = format_sbox(box, "hex")
-    assert parse_sbox(text).table == box.table
+    # widths 3, 5 and 5: the reader takes the width from the digit count
+    for m in (300, 65537, 1 << 17):
+        box = SBox(tuple(range(1, m)) + (0,), m)
+        assert parse_sbox(format_sbox(box, "hex")).table == box.table
 
 
 def test_json_carries_provenance():
@@ -76,9 +77,11 @@ def test_parse_integer_tokens():
 
 
 def test_sequence_round_trip():
-    seq = SprnSequence((5, 0, 3, 3, 1), 6)
-    for fmt in ("csv", "json", "hex"):
-        assert parse_sequence(format_sequence(seq, fmt)) == [5, 0, 3, 3, 1]
+    # the second sequence's hex form, "10 00 09 10", holds no hex letter
+    for values in ((5, 0, 3, 3, 1), (16, 0, 9, 16)):
+        seq = SprnSequence(values, 17)
+        for fmt in ("csv", "json", "hex"):
+            assert parse_sequence(format_sequence(seq, fmt)) == list(values)
 
 
 # --- gen-sbox -------------------------------------------------------------------
@@ -192,8 +195,10 @@ def test_config_keys_are_long_flag_names(capsys, tmp_path):
     ("gen-sbox", "curve_class = c1"),
     ("gen-sbox", "config = other.cfg"),
     ("family", "correlation = 1"),
+    ("family", "format = csv"),
     ("count", "ordering = natural"),
-], ids=["typo", "func", "dest-not-flag", "config", "switch", "flag-of-other-command"])
+], ids=["typo", "func", "dest-not-flag", "config", "switch", "family-format",
+        "flag-of-other-command"])
 def test_config_rejects_unknown_keys(capsys, tmp_path, command, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"p = 11\nm = 11\n{line}\n")
@@ -328,6 +333,18 @@ def test_analyze_prn_kind(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["period"] == 3 and payload["length"] == 7
     assert payload["histogram"] == {"0": 3, "1": 2, "2": 2}
+    # gen-prn's hex, "... 07 10 08 ...", has no hex letter and still reads as hex
+    set_file = tmp_path / "A.txt"
+    set_file.write_text(" ".join(map(str, [*range(10), *range(16, 23)])))
+    reports = set()
+    for fmt in ("hex", "csv", "json"):
+        code, out, _ = run(capsys, "gen-prn", "--p", "53", "--b", "1", "--ordering", "natural",
+                           "--A", str(set_file), "--m", "17", "--format", fmt)
+        seq_file.write_text(out)
+        code, out, _ = run(capsys, "analyze", str(seq_file), "--kind", "prn")
+        assert code == EXIT_OK
+        reports.add(out)
+    assert len(reports) == 1 and json.loads(out)["histogram"]["16"] == 1
 
 
 def test_analyze_two_entry_sbox(capsys, tmp_path):
@@ -338,6 +355,18 @@ def test_analyze_two_entry_sbox(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["bic"] == "n/a" and payload["ac"] == "n/a"
     assert payload["nl"] == 0 and payload["fixed_points"] == 2
+
+
+def test_analyze_refuses_oversized_sbox(capsys, tmp_path):
+    box_file = tmp_path / "box.csv"
+    box_file.write_text(format_sbox(SBox(tuple(range(1 << 13)), 1 << 13), "csv"))
+    code, out, err = run(capsys, "analyze", str(box_file))
+    assert code == EXIT_RANGE_TOO_LARGE and out == ""
+    assert err == "error: S-box size 8192 too large to analyze (at most 4096)\n"
+    # a size that is not a power of two still gets the n/a report
+    box_file.write_text(format_sbox(SBox(tuple(range((1 << 13) + 1)), (1 << 13) + 1), "csv"))
+    code, out, _ = run(capsys, "analyze", str(box_file))
+    assert code == EXIT_UNSUPPORTED_METRIC and json.loads(out)["nl"] == "n/a"
 
 
 def test_analyze_rejects_non_permutation(capsys, tmp_path):
@@ -442,9 +471,13 @@ def test_family_guard(capsys):
       "--m", "11", "--k", "20", "--correlation"], "shift k = 20 must lie in [0, m-1]"),
     (["family", "--p", "11", "--ordering", "natural", "--set", "natural",
       "--m", "1", "--correlation"], "--correlation needs m >= 2"),
+    (["analyze", "aes", "--format", "hex"], "unrecognized arguments: --format hex"),
+    (["family", "--p", "11", "--ordering", "natural", "--set", "natural",
+      "--m", "11", "--format", "csv"], "unrecognized arguments: --format csv"),
 ], ids=["non-integer-p", "count-m-zero", "sbox-k-too-large", "prn-k-too-large",
         "unknown-class", "natural-set-m-too-large", "family-k-too-large",
-        "family-correlation-k-too-large", "family-correlation-m-1"])
+        "family-correlation-k-too-large", "family-correlation-m-1", "analyze-format",
+        "family-format"])
 def test_invalid_parameters_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_PARAMS and out == ""
