@@ -9,10 +9,10 @@ Sequence tests (histogram, entropy, period) apply to any finite sequence.
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import correlation as _pearson
 from typing import Optional, Sequence
 
 from . import gf256
@@ -111,11 +111,31 @@ def fixed_points(sbox: SBox) -> int:
     return sum(1 for i, v in enumerate(sbox.table) if i == v)
 
 
-def correlation(s1: SBox, s2: SBox) -> float:
-    """Pearson correlation of the two tables viewed as integer sequences."""
-    if s1.m != s2.m:
-        raise MecforgeError(f"sizes differ: {s1.m} vs {s2.m}")
-    return _pearson(s1.table, s2.table)
+def family_correlation(family: Sequence[SBox]) -> tuple[Fraction, Fraction, Fraction]:
+    """Least, greatest and average Pearson correlation over all pairs of the
+    family's tables, exactly.
+
+    Every table is a permutation of [0, m-1], so all share the mean
+    mu = (m-1)/2 and m sigma^2 = m (m^2-1)/12, and the correlation of s and t
+    is (<s, t> - m mu^2) / (m sigma^2): only the dot product is per pair.
+    The average takes no pair: the dot products over i < j sum to half of
+    |sum of the tables|^2 less the tables' own squared norms.
+    """
+    tables = [sbox.table for sbox in family]
+    n, m = len(tables), len(tables[0]) if tables else 0
+    if n < 2 or m < 2 or any(len(t) != m for t in tables):
+        raise MecforgeError("correlation needs at least two S-boxes of one size m >= 2")
+    lo, hi = math.inf, -math.inf
+    for i, s in enumerate(tables[:-1]):
+        dots = [sum(map(operator.mul, s, t)) for t in tables[i + 1:]]
+        lo, hi = min(lo, min(dots)), max(hi, max(dots))
+    pairs = n * (n - 1) // 2
+    norm = (m - 1) * m * (2 * m - 1) // 6
+    pair_sum = (sum(c * c for c in map(sum, zip(*tables))) - n * norm) // 2
+
+    def r(dot) -> Fraction:
+        return (dot - Fraction(m * (m - 1) ** 2, 4)) / Fraction(m * (m * m - 1), 12)
+    return r(lo), r(hi), r(Fraction(pair_sum, pairs))
 
 
 def distinct_count(family: Sequence[SBox]) -> int:

@@ -43,6 +43,10 @@ EXIT_RANGE_TOO_LARGE = TooLarge.exit_code
 # gen-prn --A full and gen-sbox --set natural order up to this many ys, at
 # up to about 230 bytes of peak RSS each (modulo order): about 1 GB here.
 MAX_ORDERED_YS = 1 << 22
+# family --correlation multiplies m entries for each of the (p-1)(p-2)/2
+# pairs of S-boxes, about 70 ns a product (CPython 3.11, one core of a
+# shared 2-vCPU Xeon): at most about 10 s.
+MAX_CORRELATION_PRODUCTS = 1 << 27
 
 
 # --- input parsing -----------------------------------------------------------
@@ -116,7 +120,7 @@ def parse_sbox(text: str) -> SBox:
             raise MecforgeError(
                 "a JSON S-box needs an integer list 'table' and an object 'provenance'")
         return SBox(tuple(table), payload.get("m", len(table)), tuple(sorted(prov.items())))
-    if "," in text:
+    if "," in text or len(text) == 1:  # hex has at least 2 digits: 1 is m = 1's CSV
         table = [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
         return SBox(tuple(table), len(table))
     # hex: format_sbox's fixed-width entries at w = max(2, hex digits of
@@ -358,6 +362,10 @@ def cmd_family(args) -> int:
     if modulus.p > args.max_p:
         raise TooLarge(f"p = {modulus.p} too large for exhaustive family "
                        f"(raise --max-p to override)")
+    products = (modulus.p - 1) * (modulus.p - 2) // 2 * complete_set.m
+    if args.correlation and products > MAX_CORRELATION_PRODUCTS:
+        raise TooLarge(f"--correlation at p = {modulus.p}, m = {complete_set.m} takes {products} "
+                       f"products (at most {MAX_CORRELATION_PRODUCTS})")
     result = enumerate_family(modulus, args.ordering, complete_set, args.k,
                               b_values=range(1, modulus.p))
     boxes = result.sboxes
@@ -373,10 +381,9 @@ def cmd_family(args) -> int:
         "errors": len(result.errors),
     }
     if args.correlation:
-        ccs = [analysis.correlation(boxes[i], boxes[j])
-               for i in range(len(boxes)) for j in range(i + 1, len(boxes))]
-        payload["correlation"] = {"min": round(min(ccs), 4), "max": round(max(ccs), 4),
-                                  "avg": round(sum(ccs) / len(ccs), 4)}
+        lo, hi, avg = analysis.family_correlation(boxes)
+        payload["correlation"] = {"min": round(float(lo), 4), "max": round(float(hi), 4),
+                                  "avg": round(float(avg), 4)}
     write_output(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import MecforgeError, TooLarge
 from .field import PrimeModulus
-from .mec import MordellCurve
+from .mec import MordellCurve, _cube_root_table
 from .ordering import Ordering, rank_of_y
 
 
@@ -178,12 +178,13 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
     A collision at m filters down to every m' < m (the m'-sequence is a
     subsequence filter of the m-sequence), so the collision predicate is
     monotone and the largest colliding m is one less than the first m at
-    which every curve's S-box differs.
+    which every curve's S-box differs.  The curves share one cube-root table.
     """
     p = modulus.p
     if p > max_p:
         raise TooLarge(f"p = {p} exceeds the exhaustive guard {max_p}")
-    curves = [MordellCurve(modulus, b) for b in range(1, p)]
+    cbrt = _cube_root_table(modulus)
+    curves = [MordellCurve(modulus, b, _cube_roots=cbrt) for b in range(1, p)]
     for m in range(1, p):
         if len({tuple(rank_of_y(kind, curve, range(m))) for curve in curves}) == len(curves):
             return m - 1
@@ -203,13 +204,18 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
     A shift k outside [0, m-1] is refused once, before any curve; per-curve
-    failures are collected, not raised.
+    failures are collected, not raised.  The curves share one cube-root
+    table when their lookups, m per curve, are at least its p entries.
     """
     _check_shift(k, complete_set.m)
+    b_values = list(b_values)
+    cbrt = (_cube_root_table(modulus) if len(b_values) * complete_set.m >= modulus.p
+            else None)
     result = FamilyResult([], [])
     for b in b_values:
         try:
-            result.sboxes.append(sbox_direct(MordellCurve(modulus, b), kind, complete_set, k))
+            curve = MordellCurve(modulus, b, _cube_roots=cbrt)
+            result.sboxes.append(sbox_direct(curve, kind, complete_set, k))
         except Exception as exc:  # noqa: BLE001 - per-item error collection
             result.errors.append((b, exc))
     return result

@@ -9,7 +9,8 @@ own shift-and-add multiply here, with no log/antilog tables.
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
+from statistics import correlation
 from typing import Optional
 
 from mecforge.generator import SBox
@@ -130,6 +131,13 @@ def pstar_direct(p: int, kind: Ordering) -> int:
         if len(set(filtered)) < len(filtered):
             best = m
     return best
+
+
+def pairwise_correlation(tables) -> tuple[float, float, float]:
+    """Least, greatest and average Pearson correlation of the tables, one
+    `statistics.correlation` per pair, with no use of their being permutations."""
+    ccs = [correlation(s, t) for s, t in combinations(tables, 2)]
+    return min(ccs), max(ccs), sum(ccs) / len(ccs)
 
 
 def count_complete_sets_exhaustive(p: int, m: int) -> int:

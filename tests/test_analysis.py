@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from mecforge.analysis import (
     AnalysisReport,
     analyze_sbox,
-    correlation,
     dap,
     distinct_count,
     entropy,
+    family_correlation,
     fixed_points,
     histogram,
     period,
@@ -28,6 +28,7 @@ from oracles import (
     interpolate_lagrange,
     max_abs_walsh,
     nonlinearity_direct,
+    pairwise_correlation,
     period_direct,
     sac_matrix_direct,
 )
@@ -168,10 +169,20 @@ def test_bic_matrix_shape_and_symmetry(aes_sbox_table):
 def test_correlation():
     a = identity_sbox(3)
     rev = SBox(tuple(7 - x for x in range(8)), 8)
-    assert correlation(a, a) == pytest.approx(1.0)
-    assert correlation(a, rev) == pytest.approx(-1.0)
-    with pytest.raises(MecforgeError, match="sizes differ: 8 vs 16"):
-        correlation(a, identity_sbox(4))
+    # pairs (a, a), (a, rev), (a, rev): 1, -1, -1
+    assert family_correlation([a, a, rev]) == (-1, 1, Fraction(-1, 3))
+    for family in ([a, identity_sbox(4)], [a], [], [SBox((0,), 1)] * 2):
+        with pytest.raises(MecforgeError, match="at least two S-boxes of one size m >= 2"):
+            family_correlation(family)
+
+
+@given(st.integers(2, 40).flatmap(
+    lambda m: st.lists(st.permutations(range(m)), min_size=2, max_size=12)))
+@settings(max_examples=60)
+def test_family_correlation_matches_pairwise_pearson(tables):
+    family = [SBox(tuple(t), len(t)) for t in tables]
+    exact = family_correlation(family)
+    assert [float(r) for r in exact] == pytest.approx(pairwise_correlation(tables), abs=1e-12)
 
 
 def test_distinct_count():

@@ -47,6 +47,13 @@ def test_sbox_round_trip(fmt):
     assert parsed.table == SAMPLE.table
 
 
+def test_one_entry_sbox_round_trip():
+    """m = 1's CSV is one digit, shorter than any hex S-box."""
+    box = SBox((0,), 1)
+    for fmt in ("hex", "csv", "json"):
+        assert parse_sbox(format_sbox(box, fmt)).table == (0,)
+
+
 def test_hex_format_layout():
     box = SBox(tuple(range(256)), 256)
     lines = format_sbox(box, "hex").splitlines()
@@ -357,6 +364,21 @@ def test_analyze_two_entry_sbox(capsys, tmp_path):
     assert payload["nl"] == 0 and payload["fixed_points"] == 2
 
 
+def test_analyze_one_entry_sbox_from_every_format(capsys, tmp_path):
+    box_file = tmp_path / "box"
+    reports = set()
+    for fmt in ("hex", "csv", "json"):
+        code, out, _ = run(capsys, "gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural",
+                           "--set", "natural", "--m", "1", "--format", fmt)
+        box_file.write_text(out)
+        code, out, err = run(capsys, "analyze", str(box_file))
+        assert code == EXIT_UNSUPPORTED_METRIC and "Traceback" not in err
+        reports.add(out)
+    assert len(reports) == 1 and json.loads(out) == {
+        "nl": "n/a", "lap": "n/a", "dap": "n/a", "ac": "n/a", "sac": "n/a", "bic": "n/a",
+        "fixed_points": 1}
+
+
 def test_analyze_refuses_oversized_sbox(capsys, tmp_path):
     box_file = tmp_path / "box.csv"
     box_file.write_text(format_sbox(SBox(tuple(range(1 << 13)), 1 << 13), "csv"))
@@ -450,6 +472,19 @@ def test_family_guard(capsys):
     code, _, err = run(capsys, "family", "--p", "52511", "--ordering", "natural",
                        "--set", "natural", "--m", "256")
     assert code == EXIT_RANGE_TOO_LARGE and "--max-p" in err
+
+
+def test_family_correlation_guard_is_checked_before_any_work(capsys, monkeypatch):
+    """--correlation's (p-1)(p-2)/2 * m products are bounded by a constant,
+    within the default --max-p, before the family is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family was built before the guard was checked")
+
+    monkeypatch.setattr(cli, "enumerate_family", refuse)
+    code, out, err = run(capsys, "family", "--p", "2111", "--ordering", "natural",
+                         "--set", "natural", "--m", "256", "--correlation")
+    assert code == EXIT_RANGE_TOO_LARGE and out == ""
+    assert f"at most {cli.MAX_CORRELATION_PRODUCTS}" in err
 
 
 # --- validation failures exit 2 without a traceback ------------------------------

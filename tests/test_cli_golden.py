@@ -55,6 +55,14 @@ def sha256(text: str) -> str:
                  "3a9ee7dd544cc474b0e2865716e13e9f12f3b81691cd30ad7d8558a78d212e9d",
                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                  id="pstar-modulo"),
+    pytest.param(["pstar", "--primes", "11..499", "--ordering", "natural"], 0,
+                 "22dec1b431ac429e94827d772b8f8c42e957d9479dc9b0dc6462dab096cbbb82",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-natural-readme"),
+    pytest.param(["family", "--p", "509", "--ordering", "diffusion", "--set", "natural", "--m", "256", "--k", "5"], 0,
+                 "0392d8988902e4cede623ed72f3135f5cc4f85a2c56ddc28c2e13d5b96fe58ef",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="family-diffusion-m256"),
     pytest.param(["analyze", "aes"], 0,
                  "a7c051b91ce716fb6f5b03d31f55a344ab88ac6f564c953e0fbe6af416f05749",
                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

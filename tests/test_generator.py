@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecforge import generator, mec
+from mecforge.cli import main
 from mecforge.errors import MecforgeError, TooLarge
 from mecforge.field import PrimeModulus, is_prime
 from mecforge.generator import (
@@ -237,6 +240,65 @@ def test_family_over_all_b(mod11):
     assert len(result.sboxes) == 10 and not result.errors
     for b, sbox in zip(range(1, 11), result.sboxes):
         assert sbox.table == sbox_direct(MordellCurve(mod11, b), Ordering.NATURAL, cs, 0).table
+
+
+FAMILY_CASES = [(p, kind) for p in (11, 17, 53, 107) for kind in ALL_ORDERINGS]
+
+
+@pytest.mark.parametrize("p, kind", FAMILY_CASES,
+                         ids=[f"{p}-{kind.value}" for p, kind in FAMILY_CASES])
+def test_family_matches_trial_loop(p, kind):
+    """Every curve's S-box from the shared cube-root table is the one the
+    trial search builds, for a random complete set and shift."""
+    rng = random.Random(f"{p}-{kind.value}")
+    modulus = PrimeModulus(p)
+    m = rng.randint(2, p)
+    q, r = divmod(p, m)
+    elements = [rng.randrange(q + 1 if res < r else q) * m + res for res in range(m)]
+    k = rng.randrange(m)
+    result = enumerate_family(modulus, kind, CompleteSet.validate(elements, m, modulus), k,
+                              b_values=range(1, p))
+    assert not result.errors
+    assert [s.table for s in result.sboxes] == [sbox_trial_loop(p, b, kind, elements, k).table
+                                                for b in range(1, p)]
+
+
+def test_single_curve_paths_build_no_table(monkeypatch, capsys):
+    """Criterion 09: one S-box or sequence costs its own lookups, never an
+    O(p) table, through the API and the CLI; so does a family of a few
+    curves over a large p."""
+    def refuse(modulus):
+        raise AssertionError("a cube-root table was built")
+    for module in (mec, generator):
+        monkeypatch.setattr(module, "_cube_root_table", refuse)
+    modulus = PrimeModulus(1048583)
+    cs = CompleteSet.natural(256, modulus)
+    curve = MordellCurve(modulus, 5)
+    sbox = sbox_direct(curve, Ordering.DIFFUSION, cs, 3)
+    assert sbox_iso(curve, 1, Ordering.DIFFUSION, cs, 3) == sbox
+    assert sprn(curve, Ordering.MODULO, range(1000), 16, 2).m == 16
+    family = enumerate_family(modulus, Ordering.DIFFUSION, cs, 3, b_values=[5, 7])
+    assert family.sboxes[0] == sbox and not family.errors
+    assert main(["gen-sbox", "--p", "52511", "--b", "1", "--ordering", "natural",
+                 "--set", "natural", "--m", "256"]) == 0
+    assert main(["gen-prn", "--p", "3917", "--b", "301", "--ordering", "modulo",
+                 "--A", "full", "--m", "16"]) == 0
+    capsys.readouterr()
+
+
+def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
+    built = []
+
+    def count(modulus):
+        built.append(modulus.p)
+        return mec._cube_root_table(modulus)
+    monkeypatch.setattr(generator, "_cube_root_table", count)
+    assert pstar(PrimeModulus(53), Ordering.NATURAL) == pstar_direct(53, Ordering.NATURAL)
+    assert built == [53]
+    modulus = PrimeModulus(101)
+    result = enumerate_family(modulus, Ordering.MODULO, CompleteSet.natural(13, modulus), 4,
+                              b_values=range(1, 101))
+    assert len(result.sboxes) == 100 and built == [53, 101]
 
 
 def test_family_collects_per_item_errors(mod11):
