@@ -4,7 +4,10 @@ An S-box is the complete set's residues in the order the curve imposes on
 the points that carry its elements as y-coordinates, cyclically shifted.
 `sbox_direct` takes the curve itself; `sbox_iso` takes a class
 representative E_{p, b} and an isomorphism parameter, which only select the
-curve E_{p, t^6 b}.  Both build the table the same way.
+curve E_{p, t^6 b}.  Both build the table the same way.  The exhaustive
+paths, `pstar` and a large `enumerate_family`, order their y-set on all
+p - 1 curves of one modulus at once, in one pass over F_p x Y
+(`ordering._curve_orders`), with no cube root and no sort.
 """
 
 import math
@@ -14,8 +17,8 @@ from typing import Iterable
 
 from .errors import MecforgeError, TooLarge
 from .field import PrimeModulus
-from .mec import MordellCurve, _cube_root_table
-from .ordering import Ordering, rank_of_y
+from .mec import MordellCurve
+from .ordering import Ordering, _curve_orders, rank_of_y
 
 
 @dataclass(frozen=True)
@@ -82,21 +85,23 @@ def _check_shift(k: int, m: int) -> None:
         raise MecforgeError(f"shift k = {k} must lie in [0, m-1]")
 
 
-def _order_shift_reduce(curve: MordellCurve, kind: Ordering, ys: Iterable[int],
-                        m: int, k: int) -> tuple[int, ...]:
-    """The ys in the order `curve` imposes on their points, rotated left by
-    k < |ys| and reduced mod m: entry i is the ((i + k) mod |ys|)-th ordered y."""
-    ordered = rank_of_y(kind, curve, ys)
+def _shift_reduce(ordered: list[int], m: int, k: int) -> tuple[int, ...]:
+    """Curve-ordered ys rotated left by k < |ys| and reduced mod m: entry i is
+    the ((i + k) mod |ys|)-th ordered y."""
     return tuple(y % m for y in ordered[k:] + ordered[:k])
 
 
-def _sbox(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
+def _sbox(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int,
+          table: tuple[int, ...] | None = None) -> SBox:
     """The one S-box construction: each residue of [0, m-1] takes the curve
-    position of the set element congruent to it, and the table is shifted by k."""
+    position of the set element congruent to it, and the table is shifted by k.
+    A family pass hands in the table it has already built from the curve's row."""
     m = complete_set.m
+    if table is None:
+        table = _shift_reduce(rank_of_y(kind, curve, complete_set.elements), m, k)
     prov = (("p", curve.p), ("b", curve.b), ("ordering", kind.value),
             ("set", "explicit"), ("m", m), ("k", k))
-    return SBox(_order_shift_reduce(curve, kind, complete_set.elements, m, k), m, prov)
+    return SBox(table, m, prov)
 
 
 def sbox_direct(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
@@ -132,7 +137,7 @@ def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: i
     _check_shift(k, m)
     prov = (("p", curve.p), ("b", curve.b), ("ordering", kind.value),
             ("A_size", len(ys)), ("m", m), ("k", k))
-    return SprnSequence(_order_shift_reduce(curve, kind, ys, m, k), m, prov)
+    return SprnSequence(_shift_reduce(rank_of_y(kind, curve, ys), m, k), m, prov)
 
 
 MAX_COUNT_DIGITS = 4300
@@ -178,15 +183,15 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
     A collision at m filters down to every m' < m (the m'-sequence is a
     subsequence filter of the m-sequence), so the collision predicate is
     monotone and the largest colliding m is one less than the first m at
-    which every curve's S-box differs.  The curves share one cube-root table.
+    which every curve's S-box differs.  Each m takes one pass over
+    F_p x [0, m-1], which orders [0, m-1] on all p-1 curves at once.
     """
     p = modulus.p
     if p > max_p:
         raise TooLarge(f"p = {p} exceeds the exhaustive guard {max_p}")
-    cbrt = _cube_root_table(modulus)
-    curves = [MordellCurve(modulus, b, _cube_roots=cbrt) for b in range(1, p)]
     for m in range(1, p):
-        if len({tuple(rank_of_y(kind, curve, range(m))) for curve in curves}) == len(curves):
+        rows = _curve_orders(modulus, kind, range(m))
+        if len(set(map(tuple, rows[1:]))) == p - 1:
             return m - 1
     return p - 1
 
@@ -199,23 +204,41 @@ class FamilyResult:
     errors: list[tuple[object, Exception]]
 
 
+# A family takes one pass over F_p x Y when it has at least one curve per
+# _FAMILY_PASS_RATIO residues of p.  The pass costs p*m steps and holds p
+# rows of m; a curve's own lookups and sort cost m elements.  Measured with
+# m = 256 (CPython 3.11, shared 2-vCPU Xeon), the two paths broke even at
+# about p/8 curves (natural) and p/6 (modulo) for p = 2111, and at p/7 and
+# p/5 for p = 8009.  The pass holds at most about _FAMILY_PASS_RATIO times
+# the tables it returns.
+_FAMILY_PASS_RATIO = 6
+
+
 def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: CompleteSet, k: int,
                      b_values: Iterable[int]) -> FamilyResult:
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
     A shift k outside [0, m-1] is refused once, before any curve; per-curve
-    failures are collected, not raised.  The curves share one cube-root
-    table when their lookups, m per curve, are at least its p entries.
+    failures are collected, not raised.  A family of at least p/6 curves
+    takes one pass over F_p x Y, which orders the complete set on every curve
+    of p at once; each row becomes its curve's table where it lies, so the
+    rows are freed as the tables are built.  A smaller family orders each
+    curve's set on its own, as `sbox_direct` does.
     """
     _check_shift(k, complete_set.m)
     b_values = list(b_values)
-    cbrt = (_cube_root_table(modulus) if len(b_values) * complete_set.m >= modulus.p
-            else None)
+    rows = (_curve_orders(modulus, kind, complete_set.elements)
+            if len(b_values) * _FAMILY_PASS_RATIO >= modulus.p else None)
     result = FamilyResult([], [])
     for b in b_values:
         try:
-            curve = MordellCurve(modulus, b, _cube_roots=cbrt)
-            result.sboxes.append(sbox_direct(curve, kind, complete_set, k))
+            curve = MordellCurve(modulus, b)  # refuses a bad b before rows[b] is read
+            table = None
+            if rows is not None:
+                if isinstance(rows[b], list):  # a repeated b finds its table built
+                    rows[b] = _shift_reduce(rows[b], complete_set.m, k)
+                table = rows[b]
+            result.sboxes.append(_sbox(curve, kind, complete_set, k, table))
         except Exception as exc:  # noqa: BLE001 - per-item error collection
             result.errors.append((b, exc))
     return result

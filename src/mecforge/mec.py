@@ -3,17 +3,17 @@
 Because cubing is a bijection on F_p for such primes, every y in [0, p-1]
 appears exactly once as a y-coordinate, so the curve has exactly p affine
 points and point lookup by y-coordinate is a single cube root (`points`,
-the package's only x-lookup).  The exhaustive paths, which look up points
-on all p - 1 curves of one modulus, hand their curves one table of all
-cube roots mod p instead, built in O(p) once per call.  The group law is
-never used, nor is the isomorphism (x, y) -> (t^2 x, t^3 y) as a map on
-points: an isomorphism class and a parameter t only select the curve
-E_{p, t^6 b} for the class representative b.
+the package's only x-lookup).  The exhaustive paths, which need the points
+of all p - 1 curves of one modulus, look none up: they walk F_p x Y once and
+read each point's curve off b = y^2 - x^3 (`ordering._curve_orders`).  The
+group law is never used, nor is the isomorphism (x, y) -> (t^2 x, t^3 y) as
+a map on points: an isomorphism class and a parameter t only select the
+curve E_{p, t^6 b} for the class representative b.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .errors import MecforgeError
 from .field import PrimeModulus
@@ -31,9 +31,6 @@ class CurveClass(Enum):
 class MordellCurve:
     modulus: PrimeModulus
     b: int
-    # cbrt[a] is the cube root of a mod p: set only by pstar and
-    # enumerate_family, from _cube_root_table; not part of the curve's value.
-    _cube_roots: Optional[list[int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.modulus.mec_admissible:
@@ -46,23 +43,10 @@ class MordellCurve:
         return self.modulus.p
 
 
-def _cube_root_table(modulus: PrimeModulus) -> list[int]:
-    """cbrt with cbrt[x^3 mod p] = x for every x in [0, p-1]: one pass over
-    F_p, which fills every entry because cubing is a bijection on it."""
-    p = modulus.p
-    cbrt = [0] * p
-    for x in range(p):
-        cbrt[x * x * x % p] = x
-    return cbrt
-
-
 def points(curve: MordellCurve, ys: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The point (x, y) of each y of ys, in their order: x = (y^2 - b)^d mod p
-    with d = (2p-1)/3, the cube root because 3d = 1 (mod p-1) for p = 2 (mod 3),
-    or read from the curve's cube-root table when it carries one."""
-    p, b, cbrt = curve.p, curve.b, curve._cube_roots
-    if cbrt is not None:
-        return ((cbrt[(y * y - b) % p], y) for y in ys)
+    with d = (2p-1)/3, the cube root because 3d = 1 (mod p-1) for p = 2 (mod 3)."""
+    p, b = curve.p, curve.b
     d = (2 * p - 1) // 3
     return ((pow((y * y - b) % p, d, p), y) for y in ys)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecforge import generator, mec
+from mecforge import generator, ordering
 from mecforge.cli import main
 from mecforge.errors import MecforgeError, TooLarge
 from mecforge.field import PrimeModulus, is_prime
@@ -248,7 +248,7 @@ FAMILY_CASES = [(p, kind) for p in (11, 17, 53, 107) for kind in ALL_ORDERINGS]
 @pytest.mark.parametrize("p, kind", FAMILY_CASES,
                          ids=[f"{p}-{kind.value}" for p, kind in FAMILY_CASES])
 def test_family_matches_trial_loop(p, kind):
-    """Every curve's S-box from the shared cube-root table is the one the
+    """Every curve's S-box from the one pass over F_p x Y is the one the
     trial search builds, for a random complete set and shift."""
     rng = random.Random(f"{p}-{kind.value}")
     modulus = PrimeModulus(p)
@@ -264,13 +264,13 @@ def test_family_matches_trial_loop(p, kind):
 
 
 def test_single_curve_paths_build_no_table(monkeypatch, capsys):
-    """Criterion 09: one S-box or sequence costs its own lookups, never an
-    O(p) table, through the API and the CLI; so does a family of a few
-    curves over a large p."""
-    def refuse(modulus):
-        raise AssertionError("a cube-root table was built")
-    for module in (mec, generator):
-        monkeypatch.setattr(module, "_cube_root_table", refuse)
+    """Criterion 09: one S-box or sequence costs its own lookups, never a
+    pass over all of F_p, through the API and the CLI; so does a family of a
+    few curves over a large p."""
+    def refuse(modulus, kind, ys):
+        raise AssertionError("a pass over F_p x Y was taken")
+    for module in (ordering, generator):
+        monkeypatch.setattr(module, "_curve_orders", refuse)
     modulus = PrimeModulus(1048583)
     cs = CompleteSet.natural(256, modulus)
     curve = MordellCurve(modulus, 5)
@@ -287,18 +287,21 @@ def test_single_curve_paths_build_no_table(monkeypatch, capsys):
 
 
 def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
-    built = []
+    """pstar takes one pass per m = 1, ..., p* + 1; a whole family takes one."""
+    passes = []
 
-    def count(modulus):
-        built.append(modulus.p)
-        return mec._cube_root_table(modulus)
-    monkeypatch.setattr(generator, "_cube_root_table", count)
-    assert pstar(PrimeModulus(53), Ordering.NATURAL) == pstar_direct(53, Ordering.NATURAL)
-    assert built == [53]
+    def count(modulus, kind, ys):
+        passes.append((modulus.p, len(ys)))
+        return ordering._curve_orders(modulus, kind, ys)
+    monkeypatch.setattr(generator, "_curve_orders", count)
+    p_star = pstar(PrimeModulus(53), Ordering.NATURAL)
+    assert p_star == pstar_direct(53, Ordering.NATURAL)
+    assert passes == [(53, m) for m in range(1, p_star + 2)]
+    passes.clear()
     modulus = PrimeModulus(101)
     result = enumerate_family(modulus, Ordering.MODULO, CompleteSet.natural(13, modulus), 4,
                               b_values=range(1, 101))
-    assert len(result.sboxes) == 100 and built == [53, 101]
+    assert len(result.sboxes) == 100 and passes == [(101, 13)]
 
 
 def test_family_collects_per_item_errors(mod11):
@@ -306,6 +309,20 @@ def test_family_collects_per_item_errors(mod11):
     result = enumerate_family(mod11, Ordering.NATURAL, cs, 0, b_values=[1, 0, 2])
     assert [s.provenance_dict()["b"] for s in result.sboxes] == [1, 2]
     assert len(result.errors) == 1 and result.errors[0][0] == 0
+    # One pass over F_11 x Y: b = 0 and b = -1 name rows 0 and 10 of the pass,
+    # and are refused as curves before either row is read.
+    result = enumerate_family(mod11, Ordering.MODULO, cs, 3, b_values=[1, 0, -1, 11, 2, 2])
+    assert [b for b, _ in result.errors] == [0, -1, 11]
+    assert all(isinstance(exc, MecforgeError) for _, exc in result.errors)
+    assert [s.provenance_dict()["b"] for s in result.sboxes] == [1, 2, 2]
+    assert result.sboxes[1] == result.sboxes[2] == \
+        sbox_direct(MordellCurve(mod11, 2), Ordering.MODULO, cs, 3)
+    # A few curves over a large p take the per-curve path, with the same errors.
+    modulus = PrimeModulus(1048583)
+    cs = CompleteSet.natural(16, modulus)
+    result = enumerate_family(modulus, Ordering.NATURAL, cs, 0, b_values=[0, 2, -1])
+    assert [s.provenance_dict()["b"] for s in result.sboxes] == [2]
+    assert [b for b, _ in result.errors] == [0, -1]
 
 
 def test_family_refuses_a_bad_shift_once(mod11):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from mecforge.errors import MecforgeError
 from mecforge.field import PrimeModulus
-from mecforge.mec import CurveClass, MordellCurve, _cube_root_table, points, representative
+from mecforge.mec import CurveClass, MordellCurve, points, representative
 
 from conftest import SMALL_ADMISSIBLE
 from oracles import (brute_force_cube_roots, brute_force_points, iso_map_point, iso_param,
@@ -161,20 +161,3 @@ def test_iso_y_set_image_example(mod11):
 def test_points_agree_with_membership(curve_11_1):
     for point in points(curve_11_1, range(11)):
         assert on_curve(11, 1, point)
-
-
-@pytest.mark.parametrize("p", [5, 11, 53, 107, 2111])
-def test_cube_root_table_matches_brute_force(p):
-    cbrt = _cube_root_table(PrimeModulus(p))
-    assert dict(enumerate(cbrt)) == brute_force_cube_roots(p)
-
-
-@given(curves(), st.data())
-@settings(max_examples=30)
-def test_table_lookup_is_the_cube_root_lookup(curve, data):
-    """A curve carrying the table finds the same points, and is the same
-    curve: equal, with the same hash and repr."""
-    tabled = MordellCurve(curve.modulus, curve.b, _cube_roots=_cube_root_table(curve.modulus))
-    ys = data.draw(st.lists(st.integers(0, curve.p - 1), max_size=2 * curve.p))
-    assert list(points(tabled, ys)) == list(points(curve, ys))
-    assert tabled == curve and hash(tabled) == hash(curve) and repr(tabled) == repr(curve)

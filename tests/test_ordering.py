@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from mecforge import mec, ordering
 from mecforge.field import PrimeModulus
 from mecforge.generator import CompleteSet, sbox_direct
 from mecforge.mec import MordellCurve, points
-from mecforge.ordering import Ordering, rank_of_y
+from mecforge.ordering import Ordering, _curve_orders, rank_of_y
 
 from conftest import SMALL_ADMISSIBLE
 from oracles import brute_force_points, ordering_key
@@ -136,3 +137,35 @@ def test_rank_of_y_looks_up_points_once_per_call(monkeypatch, curve_11_1):
     for kind in ALL_ORDERINGS:
         assert sorted(rank_of_y(kind, curve_11_1, range(11))) == list(range(11))
     assert calls == [curve_11_1] * len(ALL_ORDERINGS)
+
+
+CURVE_ORDER_CASES = [(p, kind) for p in (5, 11, 17, 53, 107) for kind in ALL_ORDERINGS]
+
+
+@pytest.mark.parametrize("p, kind", CURVE_ORDER_CASES,
+                         ids=[f"{p}-{kind.value}" for p, kind in CURVE_ORDER_CASES])
+def test_curve_orders_match_rank_of_y(p, kind):
+    """The one pass over F_p x Y orders Y on every curve as `rank_of_y` does:
+    for initial segments, complete sets and subsets, given in any order."""
+    rng = random.Random(f"{p}-{kind.value}")
+    modulus = PrimeModulus(p)
+    y_sets = [range(m) for m in (1, 2, rng.randint(3, p), p)]
+    for m in (1, 2, rng.randint(3, p), p):
+        q, r = divmod(p, m)
+        y_sets.append([rng.randrange(q + 1 if res < r else q) * m + res for res in range(m)])
+    y_sets += [[0], [rng.randrange(1, p)], rng.sample(range(p), rng.randint(2, p)),
+               [0] + rng.sample(range(1, p), rng.randint(1, p - 1))]
+    curves = [MordellCurve(modulus, b) for b in range(1, p)]
+    for ys in y_sets:
+        rows = _curve_orders(modulus, kind, ys)
+        assert len(rows) == p
+        assert rows[1:] == [rank_of_y(kind, curve, ys) for curve in curves], ys
+
+
+@pytest.mark.parametrize("p", [5, 11, 17])
+def test_curve_orders_match_brute_force(p):
+    for kind in ALL_ORDERINGS:
+        rows = _curve_orders(PrimeModulus(p), kind, range(p))
+        for b in range(1, p):
+            full = sorted(brute_force_points(p, b), key=ordering_key(kind, p))
+            assert rows[b] == [y for _, y in full]
