@@ -40,8 +40,11 @@ EXIT_IO = IOFailure.exit_code
 EXIT_UNSUPPORTED_METRIC = NotPowerOfTwo.exit_code
 EXIT_RANGE_TOO_LARGE = TooLarge.exit_code
 
-# gen-prn --A full and gen-sbox --set natural order up to this many ys, at
-# up to about 230 bytes of peak RSS each (modulo order): about 1 GB here.
+# gen-prn --A full and gen-sbox --set natural order up to this many ys.  At
+# p = 1048571 the walk over x of --A full and of --set natural --m p peaks
+# at up to about 172 bytes of RSS per y (diffusion and modulo), but an m
+# below p/5 keeps the lookups and their tuples, about 217 bytes per y: about
+# 0.9 GB here.
 MAX_ORDERED_YS = 1 << 22
 # family --correlation multiplies m entries for each of the (p-1)(p-2)/2
 # pairs of S-boxes, about 70 ns a product (CPython 3.11, one core of a

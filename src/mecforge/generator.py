@@ -4,10 +4,13 @@ An S-box is the complete set's residues in the order the curve imposes on
 the points that carry its elements as y-coordinates, cyclically shifted.
 `sbox_direct` takes the curve itself; `sbox_iso` takes a class
 representative E_{p, b} and an isomorphism parameter, which only select the
-curve E_{p, t^6 b}.  Both build the table the same way.  The exhaustive
-paths, `pstar` and a large `enumerate_family`, order their y-set on all
-p - 1 curves of one modulus at once, in one pass over F_p x Y
-(`ordering._curve_orders`), with no cube root and no sort.
+curve E_{p, t^6 b}.  Both build the table the same way, and `sprn` orders
+its y-set the same way: `ordering.rank_of_y` takes one cube root per element
+of a sparse set, and none for a set of at least p/5 ys, which it orders in
+one walk over x.  The exhaustive paths, `pstar` and a large
+`enumerate_family`, order their y-set on all p - 1 curves of one modulus at
+once, in one pass over F_p x Y (`ordering._curve_orders`), with no cube root
+and no sort.
 """
 
 import math
@@ -218,27 +221,30 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
                      b_values: Iterable[int]) -> FamilyResult:
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
-    A shift k outside [0, m-1] is refused once, before any curve; per-curve
-    failures are collected, not raised.  A family of at least p/6 curves
-    takes one pass over F_p x Y, which orders the complete set on every curve
-    of p at once; each row becomes its curve's table where it lies, so the
-    rows are freed as the tables are built.  A smaller family orders each
-    curve's set on its own, as `sbox_direct` does.
+    A shift k outside [0, m-1] is refused once, before any curve; a b
+    outside [1, p-1] is collected as an error, with the message
+    `MordellCurve` gives it, and any other failure raises.  A family of at
+    least p/6 curves takes one pass over F_p x Y, which orders the complete
+    set on every curve of p at once; each row becomes its curve's table where
+    it lies, so the rows are freed as the tables are built.  A smaller family
+    orders each curve's set on its own, as `sbox_direct` does.
     """
     _check_shift(k, complete_set.m)
-    b_values = list(b_values)
-    rows = (_curve_orders(modulus, kind, complete_set.elements)
-            if len(b_values) * _FAMILY_PASS_RATIO >= modulus.p else None)
+    p = modulus.p
     result = FamilyResult([], [])
+    valid = []
     for b in b_values:
-        try:
-            curve = MordellCurve(modulus, b)  # refuses a bad b before rows[b] is read
-            table = None
-            if rows is not None:
-                if isinstance(rows[b], list):  # a repeated b finds its table built
-                    rows[b] = _shift_reduce(rows[b], complete_set.m, k)
-                table = rows[b]
-            result.sboxes.append(_sbox(curve, kind, complete_set, k, table))
-        except Exception as exc:  # noqa: BLE001 - per-item error collection
-            result.errors.append((b, exc))
+        if 1 <= b <= p - 1:
+            valid.append(b)
+        else:
+            result.errors.append((b, MecforgeError(f"b = {b} must lie in [1, p-1]")))
+    rows = (_curve_orders(modulus, kind, complete_set.elements)
+            if len(valid) * _FAMILY_PASS_RATIO >= p else None)
+    for b in valid:
+        table = None
+        if rows is not None:
+            if isinstance(rows[b], list):  # a repeated b finds its table built
+                rows[b] = _shift_reduce(rows[b], complete_set.m, k)
+            table = rows[b]
+        result.sboxes.append(_sbox(MordellCurve(modulus, b), kind, complete_set, k, table))
     return result

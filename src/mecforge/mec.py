@@ -3,12 +3,14 @@
 Because cubing is a bijection on F_p for such primes, every y in [0, p-1]
 appears exactly once as a y-coordinate, so the curve has exactly p affine
 points and point lookup by y-coordinate is a single cube root (`points`,
-the package's only x-lookup).  The exhaustive paths, which need the points
-of all p - 1 curves of one modulus, look none up: they walk F_p x Y once and
-read each point's curve off b = y^2 - x^3 (`ordering._curve_orders`).  The
-group law is never used, nor is the isomorphism (x, y) -> (t^2 x, t^3 y) as
-a map on points: an isomorphism class and a parameter t only select the
-curve E_{p, t^6 b} for the class representative b.
+the package's only cube root).  Only sparse y-sets are looked up.  A dense
+y-set on one curve walks x instead and reads the ys of each x off a table
+of square roots (`ordering._walk`); the exhaustive paths, which need the
+points of all p - 1 curves of one modulus, walk F_p x Y once and read each
+point's curve off b = y^2 - x^3 (`ordering._curve_orders`).  The group law
+is never used, nor is the isomorphism (x, y) -> (t^2 x, t^3 y) as a map on
+points: an isomorphism class and a parameter t only select the curve
+E_{p, t^6 b} for the class representative b.
 """
 
 from dataclasses import dataclass

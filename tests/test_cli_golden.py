@@ -39,6 +39,18 @@ def sha256(text: str) -> str:
                  "8ecbdbb9429159f7feac3a83365d0d2be3a932cef5101eaa5d17737727b540df",
                  "3f50e2c769886400f0b2da20c84094e32cbc39d7ef724577a651793ff350bd3c",
                  id="gen-prn-full-modulo"),
+    pytest.param(["gen-sbox", "--p", "3917", "--b", "301", "--ordering", "natural", "--set", "natural", "--m", "3917", "--k", "5"], 0,
+                 "bfba5b0b9cbd814f636a0ca380b133da5cb3acfc5cb4079d193a1aff986f1914",
+                 "69cf3cc3353307cf381cff9a7b40ed0fbf4be27630fe8f3686fe49bb2649e577",
+                 id="gen-sbox-dense-natural"),
+    pytest.param(["gen-sbox", "--p", "3917", "--b", "301", "--ordering", "diffusion", "--set", "natural", "--m", "3917", "--k", "5"], 0,
+                 "1c42957a0bb7b7557a44ac740545e7789b461f6825104fb46f5e94f183f5ce07",
+                 "29fdc0ca7cc7a3b29d68ae33af10072e3c1f6fa39a783b1968df016e6514062f",
+                 id="gen-sbox-dense-diffusion"),
+    pytest.param(["gen-sbox", "--p", "3917", "--b", "301", "--ordering", "modulo", "--set", "natural", "--m", "3917", "--k", "5"], 0,
+                 "584a1e662c4682824acc6763fd03257c5538b707e11acad81e50fc4609adf7aa",
+                 "2fef7ed1a5de05ecb2a6e84412c4103a9d2e1938d48b8571d69d063f234a6621",
+                 id="gen-sbox-dense-modulo"),
     pytest.param(["family", "--p", "107", "--ordering", "natural", "--set", "natural", "--m", "107", "--correlation"], 0,
                  "b1e038a2e208251ea8b826d10ddf6cc1c35206cc849d075a145233c7a86e66a4",
                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -74,6 +86,25 @@ def sha256(text: str) -> str:
 ])
 def test_cli_output_is_byte_exact(capsys, argv, code, out_digest, err_digest):
     assert main(argv) == code
+    captured = capsys.readouterr()
+    assert sha256(captured.out) == out_digest
+    assert sha256(captured.err) == err_digest
+
+
+@pytest.mark.parametrize("ordering, out_digest, err_digest", [
+    ("natural", "ee77d34f4e8f2c09ffbd0381a8727a80993365c441832b4b7f3ab7e1ed134ac4",
+     "d05f6e9e10548d6131bd877e75b4c3c7723e840f344cb9ea2267fafb3a8ca042"),
+    ("diffusion", "0e110605af8e12ee90033f0d85015f6cb6f4e8675026c11f6b24c4e300dcff34",
+     "0f8996d07f354a99141b8edaebf2e50255ebefbb196db65088dcac04daf831eb"),
+    ("modulo", "3001e17b49b8c2dfc1463d260597cf7f3a1346e2e0db0842a66818b39696ec77",
+     "91b33b3aa7c950a9c8a8d2842fe339af4d71fe3f6a27b9cac4adce54aeae1df5"),
+])
+def test_gen_prn_dense_set_is_byte_exact(capsys, tmp_path, ordering, out_digest, err_digest):
+    """gen-prn over a dense --A file, every even y below p = 3917."""
+    a_file = tmp_path / "even.txt"
+    a_file.write_text("\n".join(str(y) for y in range(0, 3917, 2)) + "\n")
+    assert main(["gen-prn", "--p", "3917", "--b", "301", "--ordering", ordering,
+                 "--A", str(a_file), "--m", "16"]) == 0
     captured = capsys.readouterr()
     assert sha256(captured.out) == out_digest
     assert sha256(captured.err) == err_digest

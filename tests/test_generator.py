@@ -264,9 +264,9 @@ def test_family_matches_trial_loop(p, kind):
 
 
 def test_single_curve_paths_build_no_table(monkeypatch, capsys):
-    """Criterion 09: one S-box or sequence costs its own lookups, never a
-    pass over all of F_p, through the API and the CLI; so does a family of a
-    few curves over a large p."""
+    """Criterion 09: one S-box or sequence costs its own lookups, or one walk
+    over x for a dense set, never a pass over F_p x Y, through the API and
+    the CLI; so does a family of a few curves over a large p."""
     def refuse(modulus, kind, ys):
         raise AssertionError("a pass over F_p x Y was taken")
     for module in (ordering, generator):
@@ -314,6 +314,8 @@ def test_family_collects_per_item_errors(mod11):
     result = enumerate_family(mod11, Ordering.MODULO, cs, 3, b_values=[1, 0, -1, 11, 2, 2])
     assert [b for b, _ in result.errors] == [0, -1, 11]
     assert all(isinstance(exc, MecforgeError) for _, exc in result.errors)
+    assert [str(exc) for _, exc in result.errors] == \
+        [f"b = {b} must lie in [1, p-1]" for b in (0, -1, 11)]  # MordellCurve's message
     assert [s.provenance_dict()["b"] for s in result.sboxes] == [1, 2, 2]
     assert result.sboxes[1] == result.sboxes[2] == \
         sbox_direct(MordellCurve(mod11, 2), Ordering.MODULO, cs, 3)
@@ -323,6 +325,19 @@ def test_family_collects_per_item_errors(mod11):
     result = enumerate_family(modulus, Ordering.NATURAL, cs, 0, b_values=[0, 2, -1])
     assert [s.provenance_dict()["b"] for s in result.sboxes] == [2]
     assert [b for b, _ in result.errors] == [0, -1]
+
+
+@pytest.mark.parametrize("p, b_values", [(11, range(1, 11)), (1048583, [2, 3])],
+                         ids=["one-pass", "per-curve"])
+def test_family_raises_a_fault_in_the_build(monkeypatch, p, b_values):
+    """Only a bad b is collected: a fault in building a curve's S-box raises,
+    on either path, instead of becoming one error per curve."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken build")
+    monkeypatch.setattr(generator, "_sbox", broken)
+    modulus = PrimeModulus(p)
+    with pytest.raises(RuntimeError, match="broken build"):
+        enumerate_family(modulus, Ordering.NATURAL, CompleteSet.natural(11, modulus), 0, b_values)
 
 
 def test_family_refuses_a_bad_shift_once(mod11):

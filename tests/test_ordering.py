@@ -126,7 +126,7 @@ def test_ordering_matches_oracle_keys(curve_11_1):
         assert ours == sorted(by_y.values(), key=ordering_key(kind, 11))
 
 
-def test_rank_of_y_looks_up_points_once_per_call(monkeypatch, curve_11_1):
+def _count_points_calls(monkeypatch):
     calls = []
 
     def counted(curve, ys):
@@ -134,9 +134,68 @@ def test_rank_of_y_looks_up_points_once_per_call(monkeypatch, curve_11_1):
         return mec.points(curve, ys)
 
     monkeypatch.setattr(ordering, "points", counted)
+    return calls
+
+
+def test_rank_of_y_looks_up_points_once_per_call(monkeypatch, curve_11_1):
+    calls = _count_points_calls(monkeypatch)
     for kind in ALL_ORDERINGS:
-        assert sorted(rank_of_y(kind, curve_11_1, range(11))) == list(range(11))
+        assert sorted(rank_of_y(kind, curve_11_1, [7, 2])) == [2, 7]
     assert calls == [curve_11_1] * len(ALL_ORDERINGS)
+
+
+def test_dense_rank_of_y_looks_up_no_points(monkeypatch):
+    """A y-set of at least p/_WALK_DENSITY ys is ordered by the walk over x;
+    one y fewer takes the lookups."""
+    calls = _count_points_calls(monkeypatch)
+    for p in (5, 107):  # at p = 5 the threshold p/_WALK_DENSITY is a whole number of ys
+        curve = MordellCurve(PrimeModulus(p), 3)
+        fewest = -(-p // ordering._WALK_DENSITY)
+        for kind in ALL_ORDERINGS:
+            for ys in (range(p), range(0, p, 2), range(fewest)):
+                assert sorted(rank_of_y(kind, curve, ys)) == list(ys)
+        assert calls == []
+        for kind in ALL_ORDERINGS:
+            assert sorted(rank_of_y(kind, curve, range(fewest - 1))) == list(range(fewest - 1))
+        assert calls == [curve] * len(ALL_ORDERINGS)
+        calls.clear()
+
+
+WALK_CASES = [(p, kind) for p in (5, 11, 17, 53, 107) for kind in ALL_ORDERINGS]
+
+
+@pytest.mark.parametrize("p, kind", WALK_CASES, ids=[f"{p}-{kind.value}" for p, kind in WALK_CASES])
+def test_walk_matches_lookups_and_brute_force(monkeypatch, p, kind):
+    """The walk over x, the lookups and the brute-force points order a y-set
+    alike on every curve: the full Y, sets one y either side of the density
+    threshold, and sets holding 0 and p - 1."""
+    rng = random.Random(f"walk-{p}-{kind.value}")
+    modulus = PrimeModulus(p)
+    fewest = -(-p // ordering._WALK_DENSITY)
+    y_sets = [range(p), list(range(p - 1, -1, -1)), rng.sample(range(p), p - 1),
+              rng.sample(range(p), fewest - 1), rng.sample(range(p), fewest),
+              [p - 1, 0] + rng.sample(range(1, p - 1), fewest),
+              rng.sample(range(p), rng.randint(fewest, p))]
+    for b in range(1, p):
+        curve = MordellCurve(modulus, b)
+        full = [y for _, y in sorted(brute_force_points(p, b), key=ordering_key(kind, p))]
+        position = {y: i for i, y in enumerate(full)}
+        for ys in y_sets:
+            expected = sorted(ys, key=position.__getitem__)
+            assert rank_of_y(kind, curve, ys) == expected, (b, ys)
+            for density in (0, p):  # every set looked up, every nonempty set walked
+                with monkeypatch.context() as patched:
+                    patched.setattr(ordering, "_WALK_DENSITY", density)
+                    assert rank_of_y(kind, curve, ys) == expected, (b, ys, density)
+
+
+@given(st.sampled_from(SMALL_ADMISSIBLE), st.sampled_from(ALL_ORDERINGS), st.data())
+@settings(max_examples=40)
+def test_dense_rank_of_y_matches_full_sort(p, kind, data):
+    b = data.draw(st.integers(1, p - 1))
+    ys = data.draw(st.sets(st.integers(0, p - 1), min_size=-(-p // ordering._WALK_DENSITY)))
+    full = [y for _, y in sorted(brute_force_points(p, b), key=ordering_key(kind, p))]
+    assert rank_of_y(kind, MordellCurve(PrimeModulus(p), b), ys) == [y for y in full if y in ys]
 
 
 CURVE_ORDER_CASES = [(p, kind) for p in (5, 11, 17, 53, 107) for kind in ALL_ORDERINGS]
