@@ -10,7 +10,10 @@ of a sparse set, and none for a set of at least p/5 ys, which it orders in
 one walk over x.  The exhaustive paths, `pstar` and a large
 `enumerate_family`, order their y-set on all p - 1 curves of one modulus at
 once, in one pass over F_p x Y (`ordering._curve_orders`), with no cube root
-and no sort.
+and no sort.  The pass hands back each curve's ys already reduced mod m, so
+a family's table is one rotation of its curve's row.  A table built from a
+validated complete set is a permutation by construction, so `_sbox` skips
+the permutation check that `SBox(...)` runs on a table read from outside.
 """
 
 import math
@@ -24,30 +27,39 @@ from .mec import MordellCurve
 from .ordering import Ordering, _curve_orders, rank_of_y
 
 
+def _check_set_size(m: int, p: int) -> None:
+    if not 1 <= m <= p:
+        raise MecforgeError(f"m = {m} must lie in [1, p] = [1, {p}]")
+
+
 @dataclass(frozen=True)
 class CompleteSet:
-    """An (m, p)-complete set: m residues of [0, p-1], pairwise distinct mod m."""
+    """An (m, p)-complete set: m residues of [0, p-1], pairwise distinct mod m.
+    Every instance is checked, so its residues ordered on any curve make a
+    permutation of [0, m-1]."""
 
     elements: tuple[int, ...]
     m: int
     modulus: PrimeModulus
 
-    @classmethod
-    def validate(cls, elements: Iterable[int], m: int, modulus: PrimeModulus) -> "CompleteSet":
-        if not 1 <= m <= modulus.p:  # before the elements are read: range(m) may be huge
-            raise MecforgeError(f"m = {m} must lie in [1, p] = [1, {modulus.p}]")
-        elems = tuple(elements)
-        if len(elems) != m:
-            raise MecforgeError(f"expected {m} elements, got {len(elems)}")
+    def __post_init__(self):
+        m, p = self.m, self.modulus.p
+        _check_set_size(m, p)
+        if len(self.elements) != m:
+            raise MecforgeError(f"expected {m} elements, got {len(self.elements)}")
         seen: dict[int, int] = {}
-        for e in elems:
-            if not 0 <= e <= modulus.p - 1:
-                raise MecforgeError(f"element {e} outside [0, {modulus.p - 1}]")
+        for e in self.elements:
+            if not 0 <= e <= p - 1:
+                raise MecforgeError(f"element {e} outside [0, {p - 1}]")
             r = e % m
             if r in seen:
                 raise MecforgeError(f"{seen[r]} and {e} are congruent mod {m}")
             seen[r] = e
-        return cls(elems, m, modulus)
+
+    @classmethod
+    def validate(cls, elements: Iterable[int], m: int, modulus: PrimeModulus) -> "CompleteSet":
+        _check_set_size(m, modulus.p)  # before the elements are read: range(m) may be huge
+        return cls(tuple(elements), m, modulus)
 
     @classmethod
     def natural(cls, m: int, modulus: PrimeModulus) -> "CompleteSet":
@@ -66,6 +78,19 @@ class SBox:
     def __post_init__(self):
         if sorted(self.table) != list(range(self.m)):
             raise MecforgeError("S-box table is not a permutation of [0, m-1]")
+
+    @classmethod
+    def _of_permutation(cls, table: tuple[int, ...], m: int,
+                        provenance: tuple[tuple[str, object], ...]) -> "SBox":
+        """The S-box `SBox(table, m, provenance)` gives, without the sort that
+        checks it: for a table that is a permutation of [0, m-1] by
+        construction, as every reordering of a validated complete set's
+        residues is."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "table", table)
+        object.__setattr__(box, "m", m)
+        object.__setattr__(box, "provenance", provenance)
+        return box
 
     def provenance_dict(self) -> dict:
         return dict(self.provenance)
@@ -104,7 +129,7 @@ def _sbox(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int
         table = _shift_reduce(rank_of_y(kind, curve, complete_set.elements), m, k)
     prov = (("p", curve.p), ("b", curve.b), ("ordering", kind.value),
             ("set", "explicit"), ("m", m), ("k", k))
-    return SBox(table, m, prov)
+    return SBox._of_permutation(table, m, prov)
 
 
 def sbox_direct(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
@@ -193,7 +218,7 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
     if p > max_p:
         raise TooLarge(f"p = {p} exceeds the exhaustive guard {max_p}")
     for m in range(1, p):
-        rows = _curve_orders(modulus, kind, range(m))
+        rows = _curve_orders(modulus, kind, range(m), m)
         if len(set(map(tuple, rows[1:]))) == p - 1:
             return m - 1
     return p - 1
@@ -209,12 +234,14 @@ class FamilyResult:
 
 # A family takes one pass over F_p x Y when it has at least one curve per
 # _FAMILY_PASS_RATIO residues of p.  The pass costs p*m steps and holds p
-# rows of m; a curve's own lookups and sort cost m elements.  Measured with
-# m = 256 (CPython 3.11, shared 2-vCPU Xeon), the two paths broke even at
-# about p/8 curves (natural) and p/6 (modulo) for p = 2111, and at p/7 and
-# p/5 for p = 8009.  The pass holds at most about _FAMILY_PASS_RATIO times
-# the tables it returns.
-_FAMILY_PASS_RATIO = 6
+# rows of m, and then one rotation per curve; a curve's own lookups and sort
+# cost m elements.  Measured with m = 256 (CPython 3.11, shared 2-vCPU Xeon),
+# the two paths broke even at about p/9 curves (natural), p/8 (diffusion) and
+# p/8 (modulo) for p = 2111, and at about p/7 for each ordering at p = 8009;
+# at p/7 the pass took at most 1.07 times as long as the per-curve path, and
+# at p/6 it won for every ordering at both primes.  The pass holds at most
+# about _FAMILY_PASS_RATIO times the tables it returns.
+_FAMILY_PASS_RATIO = 7
 
 
 def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: CompleteSet, k: int,
@@ -224,10 +251,11 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
     A shift k outside [0, m-1] is refused once, before any curve; a b
     outside [1, p-1] is collected as an error, with the message
     `MordellCurve` gives it, and any other failure raises.  A family of at
-    least p/6 curves takes one pass over F_p x Y, which orders the complete
-    set on every curve of p at once; each row becomes its curve's table where
-    it lies, so the rows are freed as the tables are built.  A smaller family
-    orders each curve's set on its own, as `sbox_direct` does.
+    least p/7 curves takes one pass over F_p x Y, which orders the complete
+    set on every curve of p at once and reduces it mod m; each row becomes
+    its curve's table, rotated by k, where it lies, so the rows are freed as
+    the tables are built.  A smaller family orders each curve's set on its
+    own, as `sbox_direct` does.
     """
     _check_shift(k, complete_set.m)
     p = modulus.p
@@ -238,13 +266,14 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
             valid.append(b)
         else:
             result.errors.append((b, MecforgeError(f"b = {b} must lie in [1, p-1]")))
-    rows = (_curve_orders(modulus, kind, complete_set.elements)
+    rows = (_curve_orders(modulus, kind, complete_set.elements, complete_set.m)
             if len(valid) * _FAMILY_PASS_RATIO >= p else None)
     for b in valid:
         table = None
         if rows is not None:
-            if isinstance(rows[b], list):  # a repeated b finds its table built
-                rows[b] = _shift_reduce(rows[b], complete_set.m, k)
+            row = rows[b]
+            if isinstance(row, list):  # a repeated b finds its table built
+                rows[b] = tuple(row[k:] + row[:k])
             table = rows[b]
         result.sboxes.append(_sbox(MordellCurve(modulus, b), kind, complete_set, k, table))
     return result

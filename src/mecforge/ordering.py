@@ -12,8 +12,8 @@ in natural order with no cube root.
 
 A point (x, y) lies on exactly one curve E_{p, b}, the one with
 b = y^2 - x^3 mod p.  So `_curve_orders` walks F_p x Y once in key order and
-hands each y to its curve, which gives every curve's order at once, with no
-cube root and no sort.
+hands each y, reduced mod m, to its curve, which gives every curve's order at
+once, with no cube root and no sort.
 """
 
 from bisect import bisect_left, bisect_right
@@ -109,10 +109,13 @@ def _walk(curve: MordellCurve, keep: bytes) -> tuple[list[int], list[int]]:
     return xs, ys
 
 
-def _curve_orders(modulus: PrimeModulus, kind: Ordering, ys: Iterable[int]) -> list[list[int]]:
-    """rows with rows[b] the ys in E_{p, b}'s order, for every b in [0, p-1]
-    (row 0 belongs to no admissible curve): one pass over the points (x, y),
-    y in ys, in key order, putting each y next in the row of its curve."""
+def _curve_orders(modulus: PrimeModulus, kind: Ordering, ys: Iterable[int],
+                  m: int) -> list[list[int]]:
+    """rows with rows[b] the ys reduced mod m in E_{p, b}'s order, for every b
+    in [0, p-1] (row 0 belongs to no admissible curve): one pass over the
+    points (x, y), y in ys, in key order, putting each y mod m next in the row
+    of its curve.  Each y is reduced once, before the pass; a complete set's
+    row is then its curve's unshifted table."""
     p = modulus.p
     asc = sorted(ys)
     n = len(asc)
@@ -123,27 +126,27 @@ def _curve_orders(modulus: PrimeModulus, kind: Ordering, ys: Iterable[int]) -> l
     rows = [[0] * n for _ in range(p)]
     ends = [0] * p
     if kind is Ordering.NATURAL:  # x ascending, then y ascending
-        pairs = [(y * y, y) for y in asc]
+        pairs = [(y * y, y % m) for y in asc]
         for x3 in cubes:
-            for y2, y in pairs:
+            for y2, r in pairs:
                 b = (y2 - x3) % p
-                rows[b][ends[b]] = y
+                rows[b][ends[b]] = r
                 ends[b] += 1
         return rows
     # For a fixed sum, x = sum - y rises as y falls: each sum takes its ys
     # descending.  `cubes[c - y]` with c - y > -p indexes x = (c - y) mod p.
-    desc = [(y * y, y) for y in reversed(asc)]
+    desc = [(y * y, y, y % m) for y in reversed(asc)]
     if kind is Ordering.MODULO:  # c = (x + y) mod p: the ys <= c, then the rest
         for c in range(p):
             i = n - bisect_right(asc, c)
-            for y2, y in desc[i:] + desc[:i]:
+            for y2, y, r in desc[i:] + desc[:i]:
                 b = (y2 - cubes[c - y]) % p
-                rows[b][ends[b]] = y
+                rows[b][ends[b]] = r
                 ends[b] += 1
     else:  # s = x + y over the integers: the ys in [s - p + 1, s]
         for s in range(2 * p - 1):
-            for y2, y in desc[n - bisect_right(asc, s):n - bisect_left(asc, s - p + 1)]:
+            for y2, y, r in desc[n - bisect_right(asc, s):n - bisect_left(asc, s - p + 1)]:
                 b = (y2 - cubes[s - y]) % p
-                rows[b][ends[b]] = y
+                rows[b][ends[b]] = r
                 ends[b] += 1
     return rows

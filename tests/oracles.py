@@ -150,6 +150,15 @@ def count_complete_sets_exhaustive(p: int, m: int) -> int:
     return count
 
 
+def fixed_points_direct(table) -> int:
+    """How many i have table[i] == i, counted one index at a time."""
+    count = 0
+    for i in range(len(table)):
+        if table[i] == i:
+            count += 1
+    return count
+
+
 def nonlinearity_direct(sbox: SBox) -> int:
     """Definitional nonlinearity: exhaustive distance to every affine function."""
     n = (sbox.m - 1).bit_length()

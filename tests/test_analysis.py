@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from mecforge.analysis import (
@@ -25,6 +25,7 @@ from mecforge.ordering import Ordering
 
 from oracles import (
     bic_matrix_direct,
+    fixed_points_direct,
     interpolate_lagrange,
     max_abs_walsh,
     nonlinearity_direct,
@@ -140,6 +141,15 @@ def test_metric_invariants(sbox):
     assert report.dap == dap(sbox)
     assert 0 <= report.sac_min <= report.sac_max <= 1
     assert 0 <= report.bic_min <= report.bic_max <= 1
+
+
+@given(st.integers(1, 300).flatmap(lambda m: st.permutations(range(m))))
+@example([0])
+@example([0, 1])
+@example([1, 0])
+@settings(max_examples=100)
+def test_fixed_points_matches_direct_count(table):
+    assert fixed_points(SBox(tuple(table), len(table))) == fixed_points_direct(table)
 
 
 def test_aes_reference_metrics(aes_sbox_table):

@@ -56,6 +56,11 @@ def test_validate_errors(mod11):
         CompleteSet.validate([0, 11], 2, mod11)
     with pytest.raises(MecforgeError, match="expected 2 elements, got 3"):
         CompleteSet.validate([0, 1, 2], 2, mod11)
+    # built directly, a set is checked the same way: S-boxes rely on it
+    with pytest.raises(MecforgeError, match="0 and 3 are congruent mod 3"):
+        CompleteSet((0, 1, 3), 3, mod11)
+    with pytest.raises(MecforgeError, match=r"m = 0 must lie in \[1, p\]"):
+        CompleteSet((), 0, mod11)
 
 
 # --- S-box generation --------------------------------------------------------
@@ -110,6 +115,24 @@ def test_sbox_rejects_non_permutation():
         SBox((0, 0, 1), 3)
     with pytest.raises(ValueError):
         SBox((0, 1), 3)
+
+
+@pytest.mark.parametrize("kind", ALL_ORDERINGS)
+def test_generated_sboxes_match_checked_construction(kind):
+    """A generated table is a permutation by construction and skips the check;
+    the S-box still equals, hashes and prints as `SBox(...)` of its fields,
+    from the family pass, the per-curve family path and both single paths."""
+    modulus = PrimeModulus(101)
+    cs = CompleteSet.natural(13, modulus)
+    boxes = enumerate_family(modulus, kind, cs, 5, b_values=range(1, 101)).sboxes
+    boxes += enumerate_family(modulus, kind, cs, 5, b_values=[3, 7]).sboxes
+    curve = MordellCurve(modulus, 3)
+    boxes += [sbox_direct(curve, kind, cs, 5), sbox_iso(curve, 2, kind, cs, 5)]
+    assert len(boxes) == 104
+    for s in boxes:
+        checked = SBox(s.table, s.m, s.provenance)
+        assert s == checked and hash(s) == hash(checked) and repr(s) == repr(checked)
+        assert s.provenance_dict() == checked.provenance_dict()
 
 
 @given(st.sampled_from([p for p in SMALL_ADMISSIBLE if p >= 11]),
@@ -267,7 +290,7 @@ def test_single_curve_paths_build_no_table(monkeypatch, capsys):
     """Criterion 09: one S-box or sequence costs its own lookups, or one walk
     over x for a dense set, never a pass over F_p x Y, through the API and
     the CLI; so does a family of a few curves over a large p."""
-    def refuse(modulus, kind, ys):
+    def refuse(modulus, kind, ys, m):
         raise AssertionError("a pass over F_p x Y was taken")
     for module in (ordering, generator):
         monkeypatch.setattr(module, "_curve_orders", refuse)
@@ -290,9 +313,9 @@ def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
     """pstar takes one pass per m = 1, ..., p* + 1; a whole family takes one."""
     passes = []
 
-    def count(modulus, kind, ys):
+    def count(modulus, kind, ys, m):
         passes.append((modulus.p, len(ys)))
-        return ordering._curve_orders(modulus, kind, ys)
+        return ordering._curve_orders(modulus, kind, ys, m)
     monkeypatch.setattr(generator, "_curve_orders", count)
     p_star = pstar(PrimeModulus(53), Ordering.NATURAL)
     assert p_star == pstar_direct(53, Ordering.NATURAL)

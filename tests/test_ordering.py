@@ -205,26 +205,34 @@ CURVE_ORDER_CASES = [(p, kind) for p in (5, 11, 17, 53, 107) for kind in ALL_ORD
                          ids=[f"{p}-{kind.value}" for p, kind in CURVE_ORDER_CASES])
 def test_curve_orders_match_rank_of_y(p, kind):
     """The one pass over F_p x Y orders Y on every curve as `rank_of_y` does:
-    for initial segments, complete sets and subsets, given in any order."""
+    for initial segments, complete sets and subsets, given in any order.  It
+    reduces each y mod m, which for a complete set at m < p gives its
+    residues."""
     rng = random.Random(f"{p}-{kind.value}")
     modulus = PrimeModulus(p)
     y_sets = [range(m) for m in (1, 2, rng.randint(3, p), p)]
+    complete_sets = []
     for m in (1, 2, rng.randint(3, p), p):
         q, r = divmod(p, m)
-        y_sets.append([rng.randrange(q + 1 if res < r else q) * m + res for res in range(m)])
+        complete_sets.append(([rng.randrange(q + 1 if res < r else q) * m + res
+                               for res in range(m)], m))
+    y_sets += [ys for ys, _ in complete_sets]
     y_sets += [[0], [rng.randrange(1, p)], rng.sample(range(p), rng.randint(2, p)),
                [0] + rng.sample(range(1, p), rng.randint(1, p - 1))]
     curves = [MordellCurve(modulus, b) for b in range(1, p)]
     for ys in y_sets:
-        rows = _curve_orders(modulus, kind, ys)
+        rows = _curve_orders(modulus, kind, ys, p)  # y < p: unchanged mod p
         assert len(rows) == p
         assert rows[1:] == [rank_of_y(kind, curve, ys) for curve in curves], ys
+    for ys, m in complete_sets:  # each row holds its curve's unshifted table
+        rows = _curve_orders(modulus, kind, ys, m)
+        assert rows[1:] == [[y % m for y in rank_of_y(kind, curve, ys)] for curve in curves], m
 
 
 @pytest.mark.parametrize("p", [5, 11, 17])
 def test_curve_orders_match_brute_force(p):
     for kind in ALL_ORDERINGS:
-        rows = _curve_orders(PrimeModulus(p), kind, range(p))
+        rows = _curve_orders(PrimeModulus(p), kind, range(p), p)
         for b in range(1, p):
             full = sorted(brute_force_points(p, b), key=ordering_key(kind, p))
             assert rows[b] == [y for _, y in full]
