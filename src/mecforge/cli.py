@@ -340,7 +340,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_count(args) -> int:
-    per_k, total = count_sboxes(args.modulus, args.m)
+    per_k, total = count_sboxes(args.modulus.p, args.m)
     write_output(json.dumps({"p": args.modulus.p, "m": args.m,
                              "per_k": per_k, "total": total}) + "\n", args.out)
     return EXIT_OK

@@ -171,7 +171,7 @@ def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: i
 MAX_COUNT_DIGITS = 4300
 
 
-def count_sboxes(modulus: PrimeModulus | int, m: int) -> tuple[int, int]:
+def count_sboxes(p: int, m: int) -> tuple[int, int]:
     """Number of (m, p)-complete S-boxes a fixed ordered curve can emit.
 
     Writing p = mq + r, there are q+1 choices for each of the r residue
@@ -186,7 +186,6 @@ def count_sboxes(modulus: PrimeModulus | int, m: int) -> tuple[int, int]:
     before any power is taken (at p near 10^9 it can have 10^8 digits); the
     exact comparison decides the rest.
     """
-    p = modulus.p if isinstance(modulus, PrimeModulus) else modulus
     if not 1 <= m <= p:
         raise MecforgeError(f"m = {m} must lie in [1, p]")
     # CPython before 3.10.7 has neither the limit nor this function: read it as off.

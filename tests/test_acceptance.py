@@ -176,13 +176,16 @@ def test_criterion_08_distinctness_desk_scale():
         assert distinct_count(boxes) == p - 1
 
 
-def _median_time(fn, repeats):
-    times = []
+def _median_times(small, large, repeats):
+    """Median run times of two functions, timed in alternation, so that a
+    drift in host speed during the samples falls on both alike."""
+    times = ([], [])
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        for fn, samples in zip((small, large), times):
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+    return statistics.median(times[0]), statistics.median(times[1])
 
 
 def test_criterion_09_generation_scales_with_m_not_p():
@@ -193,16 +196,14 @@ def test_criterion_09_generation_scales_with_m_not_p():
         t = (p - 1) // 3
         return lambda: sbox_iso(rep, modulus.inverse(t), Ordering.NATURAL, cs, 0)
 
-    small = _median_time(iso_run(16421), 7)       # ~2^14
-    large = _median_time(iso_run(1048583), 7)     # ~2^20
+    small, large = _median_times(iso_run(16421), iso_run(1048583), 7)  # ~2^14, ~2^20
     assert large < 2 * small
 
     def oracle_run(p):
         cs = CompleteSet.natural(32, PrimeModulus(p))
         return lambda: sbox_trial_loop(p, 1, Ordering.NATURAL, cs.elements, 0)
 
-    oracle_small = _median_time(oracle_run(4127), 3)    # ~2^12
-    oracle_large = _median_time(oracle_run(16421), 3)   # ~2^14
+    oracle_small, oracle_large = _median_times(oracle_run(4127), oracle_run(16421), 3)  # ~2^12, ~2^14
     assert oracle_large > 1.8 * oracle_small
 
 

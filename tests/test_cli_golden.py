@@ -27,6 +27,14 @@ def sha256(text: str) -> str:
                  "903a336a7f7966cec6d1631e496f06bbecdc438e16c54f85cb511bf9c66c7701",
                  "13513106a33b0e4079f1fb4dd8f3ccd2f32ee76136ddf99aceb3b180bdf60bd8",
                  id="gen-sbox-class-c2-t7"),
+    pytest.param(["gen-sbox", "--p", "52511", "--b", "1", "--ordering", "diffusion", "--set", SET_52511, "--k", "7"], 0,
+                 "d82038e2cacc0ce7c0767b43a1042bc27e31b8b27499c64b87cffc18dd22c40c",
+                 "84058cf1fb4b775358d94a2931ccf73c8291419f1c6c0d9874e7ad34362d3b54",
+                 id="gen-sbox-sparse-diffusion"),
+    pytest.param(["gen-sbox", "--p", "52511", "--b", "1", "--ordering", "modulo", "--set", SET_52511, "--k", "7"], 0,
+                 "aa81d58c4f3d6c0304591480297f700d1c553c04d78d9b80b3b42f7964e6244d",
+                 "9376ab6b92204e4568e189dc9293fdbf605e9e679d0a8f622efd879c80628ebe",
+                 id="gen-sbox-sparse-modulo"),
     pytest.param(["gen-prn", "--p", "3917", "--b", "301", "--ordering", "natural", "--A", "full", "--m", "3917"], 0,
                  "e5068082207c4c230de4e5ea0ba5baf5e8aaf1b11ae8d4765ae5ed359c294259",
                  "1fe1fc7f9d98026fab65e499d21abbd1d24963359e2b6ada6778f69f3e6583db",

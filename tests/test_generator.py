@@ -209,8 +209,8 @@ def test_count_published_value():
     assert total == 256 * 128
 
 
-def test_count_degenerate_cases(mod11):
-    assert count_sboxes(mod11, 11) == (1, 11)
+def test_count_degenerate_cases():
+    assert count_sboxes(11, 11) == (1, 11)
     per_k, total = count_sboxes(11, 4)
     assert per_k == 54 and total == 216
 
