@@ -11,7 +11,8 @@ one walk over x.  The exhaustive paths, `pstar` and a large
 `enumerate_family`, order their y-set on all p - 1 curves of one modulus at
 once, in one pass over F_p x Y (`ordering._curve_orders`), with no cube root
 and no sort.  The pass hands back each curve's ys already reduced mod m, so
-a family's table is one rotation of its curve's row.  A table built from a
+a family's table is one rotation of its curve's row, and `pstar` reads every
+size below its pass off the same rows.  A table built from a
 validated complete set is a permutation by construction, so `_sbox` skips
 the permutation check that `SBox(...)` runs on a table read from outside.
 """
@@ -204,23 +205,36 @@ DEFAULT_MAX_PSTAR_P = 2000
 def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_P) -> int:
     """Largest m at which two distinct curves still emit the same natural S-box.
 
-    Uses k = 0 and Y = [0, m-1].  Returns 0 if all curves differ already at
-    m = 1.  Exhaustive over all p-1 curves, hence guarded by ``max_p``.
+    Uses k = 0 and Y = [0, m-1].  Exhaustive over all p-1 curves, hence
+    guarded by ``max_p``.
 
-    A collision at m filters down to every m' < m (the m'-sequence is a
-    subsequence filter of the m-sequence), so the collision predicate is
-    monotone and the largest colliding m is one less than the first m at
-    which every curve's S-box differs.  Each m takes one pass over
-    F_p x [0, m-1], which orders [0, m-1] on all p-1 curves at once.
+    A table at size m is a permutation of [0, m-1], so below the floor, the
+    least m with m! >= p - 1, two of the p - 1 curves must collide.  A table
+    at m' < m is the table at m with the ys >= m' removed, so a collision at
+    m also holds at every m' < m.  One pass over F_p x [0, top-1], with
+    top = min(2 * floor, p - 1), orders every curve at once; while the
+    curves still collide at top, top doubles and the pass runs again.  Then
+    m counts down from top - 1 to the floor, dropping y = m from every row,
+    and the first m at which two rows agree is p*; if none does, p* is one
+    below the floor.
     """
     p = modulus.p
     if p > max_p:
         raise TooLarge(f"p = {p} exceeds the exhaustive guard {max_p}")
-    for m in range(1, p):
-        rows = _curve_orders(modulus, kind, range(m), m)
-        if len(set(map(tuple, rows[1:]))) == p - 1:
-            return m - 1
-    return p - 1
+    low = top = next(m for m in range(1, p) if math.factorial(m) >= p - 1)
+    while True:
+        top = min(2 * top, p - 1)
+        rows = _curve_orders(modulus, kind, range(top), top)[1:]
+        if len(set(map(tuple, rows))) == p - 1:
+            break
+        if top == p - 1:
+            return p - 1
+    for m in range(top - 1, low - 1, -1):
+        for row in rows:
+            row.remove(m)
+        if len(set(map(tuple, rows))) < p - 1:
+            return m
+    return low - 1
 
 
 @dataclass

@@ -79,6 +79,14 @@ def sha256(text: str) -> str:
                  "22dec1b431ac429e94827d772b8f8c42e957d9479dc9b0dc6462dab096cbbb82",
                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                  id="pstar-natural-readme"),
+    pytest.param(["pstar", "--primes", "11..499", "--ordering", "diffusion"], 0,
+                 "c64ffe3b290fb101d009a887e43e5c9a32a705cb1ee218e0e7485e3dacbce3f8",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-diffusion-499"),
+    pytest.param(["pstar", "--primes", "11..499", "--ordering", "modulo"], 0,
+                 "f5efff7d90b6a738fd3493c7a35f15c5fab40bd80e2e0b47f180d0fc990b309c",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-modulo-499"),
     pytest.param(["family", "--p", "509", "--ordering", "diffusion", "--set", "natural", "--m", "256", "--k", "5"], 0,
                  "0392d8988902e4cede623ed72f3135f5cc4f85a2c56ddc28c2e13d5b96fe58ef",
                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -310,21 +310,55 @@ def test_single_curve_paths_build_no_table(monkeypatch, capsys):
 
 
 def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
-    """pstar takes one pass per m = 1, ..., p* + 1; a whole family takes one."""
+    """pstar takes one pass, at twice the least m with m! >= p - 1 or at
+    p - 1 if that is less, for every admissible p in 5..499 under each
+    ordering; a whole family takes one."""
     passes = []
 
     def count(modulus, kind, ys, m):
         passes.append((modulus.p, len(ys)))
         return ordering._curve_orders(modulus, kind, ys, m)
     monkeypatch.setattr(generator, "_curve_orders", count)
-    p_star = pstar(PrimeModulus(53), Ordering.NATURAL)
-    assert p_star == pstar_direct(53, Ordering.NATURAL)
-    assert passes == [(53, m) for m in range(1, p_star + 2)]
+    assert pstar(PrimeModulus(53), Ordering.NATURAL) == pstar_direct(53, Ordering.NATURAL)
+    assert passes == [(53, 10)]  # 4! < 52 <= 5!
+    for kind in ALL_ORDERINGS:
+        for p in range(5, 500):
+            if is_prime(p) and p % 3 == 2:
+                passes.clear()
+                pstar(PrimeModulus(p), kind)
+                assert len(passes) == 1, (p, kind, passes)
     passes.clear()
     modulus = PrimeModulus(101)
     result = enumerate_family(modulus, Ordering.MODULO, CompleteSet.natural(13, modulus), 4,
                               b_values=range(1, 101))
     assert len(result.sboxes) == 100 and passes == [(101, 13)]
+
+
+@pytest.mark.parametrize("p", [29, 53])
+@pytest.mark.parametrize("kind", ALL_ORDERINGS, ids=lambda kind: kind.value)
+def test_pstar_doubles_its_pass_while_the_curves_collide(monkeypatch, p, kind):
+    """With the pigeonhole floor forced down to m = 1, pstar passes at
+    m = 2, 4, 8, ... until the curves differ, and still finds p*; if they
+    collide even at p - 1, the last pass is at p - 1 and p* is p - 1."""
+    passes = []
+
+    def count(modulus, kind, ys, m):
+        passes.append(m)
+        return ordering._curve_orders(modulus, kind, ys, m)
+    monkeypatch.setattr(generator, "_curve_orders", count)
+    monkeypatch.setattr(generator.math, "factorial", lambda m: p)  # every m! >= p - 1
+    p_star = pstar(PrimeModulus(p), kind)
+    assert p_star == pstar_direct(p, kind)
+    assert passes == [2 ** i for i in range(1, len(passes) + 1)]
+    assert passes[-2] <= p_star < passes[-1]
+
+    def collide(modulus, kind, ys, m):  # every curve orders [0, m-1] alike
+        passes.append(m)
+        return [list(range(m)) for _ in range(p)]
+    passes.clear()
+    monkeypatch.setattr(generator, "_curve_orders", collide)
+    assert pstar(PrimeModulus(p), kind) == p - 1
+    assert passes == [2 ** i for i in range(1, p.bit_length())] + [p - 1]
 
 
 def test_family_collects_per_item_errors(mod11):
