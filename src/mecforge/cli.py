@@ -7,15 +7,15 @@ they write and tells the three apart by shape; the others print JSON.
 Exit codes: 0 success, 2 invalid parameters, 3 I/O failure, 4 a metric was
 not applicable to the input size, 5 exhaustive range too large.  Each class
 in `errors` carries its code; argparse's usage errors exit 2.  Each flag's
-`type=` callable converts and checks it, for --config values too.
+`type=` callable converts and checks it, for --config values too.  An integer,
+in a flag or a file, is ASCII digits (hex in hex formats): no sign, '_' or gap.
 """
 
 import argparse
 import json
 import pathlib
-import re
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import analysis, data
 from .errors import IOFailure, MecforgeError, NotPowerOfTwo, TooLarge
@@ -54,33 +54,36 @@ MAX_CORRELATION_PRODUCTS = 1 << 27
 
 # --- input parsing -----------------------------------------------------------
 
-_HEX_RE = re.compile(r"^[0-9a-fA-F]+$")
+_DIGITS = {10: frozenset("0123456789"), 16: frozenset("0123456789abcdefABCDEF")}
+_BOUND = 1 << 2048  # 617 digits: int() and str() pass any CPython digit limit (>= 640)
 
 
-def _hex_tokens(text: str) -> list[str]:
-    tokens = text.split()
+def _integers(tokens: Iterable[str], base: int = 10) -> list[int]:
+    """The one integer reader: each token is ASCII digits of `base`, below _BOUND."""
+    digits, values = _DIGITS[base], []
     for tok in tokens:
-        if not _HEX_RE.match(tok):
+        if not tok or not digits.issuperset(tok):
             raise MecforgeError(f"malformed integer token {tok!r}")
-    return tokens
+        values.append(int(tok, base) if len(tok) <= 640 else _BOUND)
+        if values[-1] >= _BOUND:
+            raise MecforgeError(f"integer token of {len(tok)} digits: at most 640, below 2^2048")
+    return values
 
 
 def parse_integer_tokens(text: str) -> list[int]:
-    """Whitespace-separated integers, hex or decimal: complete-set and --A files.
-
-    Tokens are read as hex when at least one contains a hex letter (the
-    published complete-set format), decimal otherwise.
-    """
-    tokens = _hex_tokens(text)
+    """Whitespace-separated integers of complete-set and --A files: hex once any
+    token is not all decimal digits (as in the published complete sets), else decimal."""
+    tokens = text.split()
     if not tokens:
         raise MecforgeError("empty integer list")
-    base = 16 if any(re.search(r"[a-fA-F]", t) for t in tokens) else 10
-    return [int(t, base) for t in tokens]
+    return _integers(tokens, 10 if _DIGITS[10].issuperset("".join(tokens)) else 16)
 
 
 def read_text(path: str) -> str:
     try:
-        return sys.stdin.read() if path == "-" else pathlib.Path(path).read_text()
+        # undecodable bytes read as lone surrogates, which no reader accepts: exit 2
+        return sys.stdin.read() if path == "-" else pathlib.Path(path).read_text(
+            errors="surrogateescape")
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
 
@@ -120,11 +123,10 @@ def parse_sbox(text: str) -> SBox:
         table, prov = payload["table"], payload.get("provenance", {})
         if not (isinstance(table, list) and all(type(v) is int for v in table)
                 and isinstance(prov, dict)):
-            raise MecforgeError(
-                "a JSON S-box needs an integer list 'table' and an object 'provenance'")
+            raise MecforgeError("JSON needs an integer list 'table' and an object 'provenance'")
         return SBox(tuple(table), payload.get("m", len(table)), tuple(sorted(prov.items())))
     if "," in text or len(text) == 1:  # hex has at least 2 digits: 1 is m = 1's CSV
-        table = [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
+        table = _integers(t.strip() for t in text.replace("\n", ",").split(","))
         return SBox(tuple(table), len(table))
     # hex: format_sbox's fixed-width entries at w = max(2, hex digits of
     # m - 1), the least w >= 2 with len(digits) = m * w <= w * 16**w.
@@ -132,9 +134,9 @@ def parse_sbox(text: str) -> SBox:
     width = 2
     while len(digits) > width * 16 ** width:
         width += 1
-    if not digits or len(digits) % width or not _HEX_RE.match(digits):
+    if len(digits) % width:
         raise MecforgeError("malformed hex S-box file")
-    table = [int(digits[i:i + width], 16) for i in range(0, len(digits), width)]
+    table = _integers((digits[i:i + width] for i in range(0, len(digits), width)), 16)
     return SBox(tuple(table), len(table))
 
 
@@ -155,12 +157,12 @@ def parse_sequence(text: str) -> list[int]:
     text = text.strip()
     if text.startswith("{"):
         values = json.loads(text)["values"]
-        if not (isinstance(values, list) and all(type(v) is int for v in values)):
-            raise MecforgeError("malformed sequence input: 'values' must be a list of integers")
+        if not (type(values) is list and all(type(v) is int and 0 <= v < _BOUND for v in values)):
+            raise MecforgeError("'values' must be a list of integers in [0, 2^2048)")
         return values
     if "," in text:
-        return [int(t) for t in text.replace("\n", ",").split(",") if t.strip()]
-    return [int(t, 16) for t in _hex_tokens(text)]
+        return _integers(t.strip() for t in text.replace("\n", ",").split(","))
+    return _integers(text.split(), 16)
 
 
 # --- flag types ----------------------------------------------------------------
@@ -171,8 +173,12 @@ def admissible(p: int) -> bool:
     return p % 3 == 2 and p != 2 and is_prime(p)
 
 
+def integer(text: str) -> int:
+    return _integers([text])[0]
+
+
 def prime(text: str) -> PrimeModulus:
-    p = int(text)
+    p = integer(text)
     if not admissible(p):
         raise argparse.ArgumentTypeError("p must be prime with p = 2 (mod 3)")
     return PrimeModulus(p)
@@ -194,10 +200,8 @@ def curve_class(text: str) -> CurveClass:
 
 
 def prime_range(text: str) -> range:
-    match = re.match(r"^(\d+)\.\.(\d+)$", text)
-    if not match:
-        raise ValueError(text)
-    return range(int(match[1]), int(match[2]) + 1)
+    lo, hi = _integers(text.partition("..")[::2])
+    return range(lo, hi + 1)
 
 
 def output_format(text: str) -> str:
@@ -226,14 +230,13 @@ class ConfigFile(argparse.Action):
                 continue
             if "=" not in line:
                 raise MecforgeError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
             action = flags.get(key.replace("-", "_"))
             if action is None:
                 raise MecforgeError(f"{path}:{lineno}: unknown key {key!r}; "
                                     f"expected one of: {', '.join(sorted(flags))}")
             action.required = False
-            config[action.dest] = value.strip()
+            config[action.dest] = value
         setattr(namespace, self.dest, (parser, config))
 
 
@@ -246,15 +249,12 @@ def resolve_curve(args) -> MordellCurve:
     if (args.b is None) == (args.curve_class is None and args.t is None):
         raise MecforgeError("specify either --b, or --class together with --t")
     if args.b is not None:
-        if not 1 <= args.b <= modulus.p - 1:
-            raise MecforgeError(f"b must lie in [1, p-1], got {args.b}")
         return MordellCurve(modulus, args.b)
     if args.curve_class is None or args.t is None:
         raise MecforgeError("--class and --t must be given together")
     if not 1 <= args.t <= (modulus.p - 1) // 2:
         raise MecforgeError(f"t must lie in [1, (p-1)/2], got {args.t}")
-    b = pow(args.t, 6, modulus.p) * representative(modulus, args.curve_class) % modulus.p
-    return MordellCurve(modulus, b)
+    return MordellCurve(modulus, representative(modulus, args.curve_class)).isomorphic(args.t)
 
 
 def resolve_complete_set(args) -> CompleteSet:
@@ -298,17 +298,13 @@ def cmd_gen_prn(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.input == "aes":
-        text = data.path("aes_sbox.txt").read_text()
-    else:
-        text = read_text(args.input)
+    text = data.path("aes_sbox.txt").read_text() if args.input == "aes" else read_text(args.input)
+    name, parse = ("sequence", parse_sequence) if args.kind == "prn" else ("S-box", parse_sbox)
+    try:
+        values = sbox = parse(text)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # JSON nested too deep
+        raise MecforgeError(f"malformed {name} input: {exc}") from exc
     if args.kind == "prn":
-        try:
-            values = parse_sequence(text)
-        except MecforgeError:
-            raise
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MecforgeError(f"malformed sequence input: {exc}") from exc
         if not values:
             raise MecforgeError("empty sequence")
         hist = analysis.histogram(values)
@@ -320,10 +316,6 @@ def cmd_analyze(args) -> int:
         }
         write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return EXIT_OK
-    try:
-        sbox = parse_sbox(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise MecforgeError(f"malformed S-box input: {exc}") from exc
     try:
         report = analysis.analyze_sbox(sbox)
         body = report.to_json(indent=2)
@@ -412,15 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ordering", type=ordering, required=True,
                         help="natural | diffusion | modulo")
         # without a complete set (gen-prn) there is no size to default --m to
-        sp.add_argument("--m", type=int, required=not sets, help="S-box / residue size")
-        sp.add_argument("--k", type=int, default=0, help="cyclic shift, default 0")
+        sp.add_argument("--m", type=integer, required=not sets, help="S-box / residue size")
+        sp.add_argument("--k", type=integer, default=0, help="cyclic shift, default 0")
         if fmt:  # a generator, with a curve; family sweeps every b and prints JSON
             sp.add_argument("--format", type=output_format, default=fmt, help="hex | csv | json")
-            sp.add_argument("--b", type=int,
+            sp.add_argument("--b", type=integer,
                             help="curve coefficient (mutually exclusive with --class/--t)")
             sp.add_argument("--class", dest="curve_class", type=curve_class,
                             help="c1 | c2 (with --t)")
-            sp.add_argument("--t", type=int, help="isomorphism parameter in [1, (p-1)/2]")
+            sp.add_argument("--t", type=integer, help="isomorphism parameter in [1, (p-1)/2]")
         if sets:
             sp.add_argument("--set", required=True, help="complete-set file or 'natural'")
 
@@ -437,17 +429,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("count", cmd_count, "count the complete-set S-box family")
     sp.add_argument("--p", dest="modulus", type=prime, required=True, metavar="P")
-    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--m", type=integer, required=True)
 
     sp = command("pstar", cmd_pstar, "collision-size diagnostic over a prime range")
     sp.add_argument("--primes", type=prime_range, required=True, metavar="LO..HI")
     sp.add_argument("--ordering", type=ordering, required=True)
-    sp.add_argument("--max-p", type=int, default=DEFAULT_MAX_PSTAR_P,
+    sp.add_argument("--max-p", type=integer, default=DEFAULT_MAX_PSTAR_P,
                     help="exhaustive guard, default %(default)s")
 
     sp = command("family", cmd_family, "generate and summarize the family over all b")
     common(sp)
-    sp.add_argument("--max-p", type=int, default=5000, help="exhaustive guard, default %(default)s")
+    sp.add_argument("--max-p", type=integer, default=5000,
+                    help="exhaustive guard, default %(default)s")
     sp.add_argument("--correlation", action="store_true",
                     help="also report pairwise correlation bounds")
     return parser

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .errors import MecforgeError, TooLarge
 from .field import PrimeModulus
-from .mec import MordellCurve
+from .mec import MordellCurve, _check_b
 from .ordering import Ordering, _curve_orders, rank_of_y
 
 
@@ -76,9 +76,9 @@ class SBox:
     m: int
     provenance: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self):
-        if sorted(self.table) != list(range(self.m)):
-            raise MecforgeError("S-box table is not a permutation of [0, m-1]")
+    def __post_init__(self):  # |table| = m first: range(m) is built at the table's size only
+        if not 0 < len(self.table) == self.m or sorted(self.table) != list(range(self.m)):
+            raise MecforgeError("S-box table is not a permutation of [0, m-1] with m >= 1")
 
     @classmethod
     def _of_permutation(cls, table: tuple[int, ...], m: int,
@@ -144,10 +144,8 @@ def sbox_iso(rep_curve: MordellCurve, t_inv: int, kind: Ordering,
     """S-box on E_{p, t^6 b}, the curve isomorphic to the representative
     E_{p, b} under the parameter t = t_inv^-1.  Its table is the direct
     S-box of that curve."""
-    modulus = rep_curve.modulus
     _check_shift(k, complete_set.m)
-    b = pow(modulus.inverse(t_inv), 6, modulus.p) * rep_curve.b % modulus.p
-    return _sbox(MordellCurve(modulus, b), kind, complete_set, k)
+    return _sbox(rep_curve.isomorphic(rep_curve.modulus.inverse(t_inv)), kind, complete_set, k)
 
 
 def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: int) -> SprnSequence:
@@ -187,8 +185,7 @@ def count_sboxes(p: int, m: int) -> tuple[int, int]:
     before any power is taken (at p near 10^9 it can have 10^8 digits); the
     exact comparison decides the rest.
     """
-    if not 1 <= m <= p:
-        raise MecforgeError(f"m = {m} must lie in [1, p]")
+    _check_set_size(m, p)
     # CPython before 3.10.7 has neither the limit nor this function: read it as off.
     digits = getattr(sys, "get_int_max_str_digits", int)() or MAX_COUNT_DIGITS
     q, r = divmod(p, m)
@@ -262,8 +259,8 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
     A shift k outside [0, m-1] is refused once, before any curve; a b
-    outside [1, p-1] is collected as an error, with the message
-    `MordellCurve` gives it, and any other failure raises.  A family of at
+    outside [1, p-1] is collected as the error that `MordellCurve` would
+    raise, and any other failure raises.  A family of at
     least p/7 curves takes one pass over F_p x Y, which orders the complete
     set on every curve of p at once and reduces it mod m; each row becomes
     its curve's table, rotated by k, where it lies, so the rows are freed as
@@ -275,10 +272,11 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
     result = FamilyResult([], [])
     valid = []
     for b in b_values:
-        if 1 <= b <= p - 1:
+        try:
+            _check_b(b, p)
             valid.append(b)
-        else:
-            result.errors.append((b, MecforgeError(f"b = {b} must lie in [1, p-1]")))
+        except MecforgeError as exc:
+            result.errors.append((b, exc))
     rows = (_curve_orders(modulus, kind, complete_set.elements, complete_set.m)
             if len(valid) * _FAMILY_PASS_RATIO >= p else None)
     for b in valid:

@@ -37,12 +37,20 @@ class MordellCurve:
     def __post_init__(self):
         if not self.modulus.mec_admissible:
             raise MecforgeError(f"p = {self.p} is not admissible (need p = 2 mod 3, p > 3)")
-        if not 1 <= self.b <= self.p - 1:
-            raise MecforgeError(f"b = {self.b} must lie in [1, p-1]")
+        _check_b(self.b, self.p)
 
     @property
     def p(self) -> int:
         return self.modulus.p
+
+    def isomorphic(self, t: int) -> "MordellCurve":
+        """E_{p, t^6 b}, the curve that (x, y) -> (t^2 x, t^3 y) maps this E_{p, b} onto."""
+        return MordellCurve(self.modulus, pow(t, 6, self.p) * self.b % self.p)
+
+
+def _check_b(b: int, p: int) -> None:
+    if not 1 <= b <= p - 1:
+        raise MecforgeError(f"b = {b} must lie in [1, p-1]")
 
 
 def points(curve: MordellCurve, ys: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -3,7 +3,9 @@ import gc
 import io
 import json
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,14 @@ def test_parse_integer_tokens():
         parse_integer_tokens("12 x3")
     with pytest.raises(MecforgeError, match="empty integer list"):
         parse_integer_tokens("   ")
+    for text in ("1 +2", "1 0_2", "\u0661 2", "1 -2"):
+        with pytest.raises(MecforgeError, match="malformed integer token"):
+            parse_integer_tokens(text)
+    # every integer read is below 2^2048, so that it can be written back in decimal
+    assert parse_integer_tokens("f" * 512) == [(1 << 2048) - 1]
+    for text in ("1" + "0" * 617, "9" * 5000):
+        with pytest.raises(MecforgeError, match=f"token of {len(text)} digits: at most 640, below"):
+            parse_integer_tokens(text)
 
 
 def test_sequence_round_trip():
@@ -509,10 +519,20 @@ def test_family_correlation_guard_is_checked_before_any_work(capsys, monkeypatch
     (["analyze", "aes", "--format", "hex"], "unrecognized arguments: --format hex"),
     (["family", "--p", "11", "--ordering", "natural", "--set", "natural",
       "--m", "11", "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["count", "--p", "5_3", "--m", "2"], "argument --p: invalid prime value: '5_3'"),
+    (["count", "--p", "11", "--m", str(1 << 2048)], "argument --m: invalid integer value"),
+    (["count", "--p", "53", "--m", "\u0662"], "argument --m: invalid integer value: '\u0662'"),
+    (["pstar", "--primes", "\u0661\u0661..53", "--ordering", "natural"],
+     "argument --primes: invalid prime_range value: '\u0661\u0661..53'"),
+    (["gen-sbox", "--p", "11", "--b", "+1", "--ordering", "natural", "--set", "natural"],
+     "argument --b: invalid integer value: '+1'"),
+    (["gen-sbox", "--p", "11", "--b", "0", "--ordering", "natural", "--set", "natural",
+      "--m", "11"], "b = 0 must lie in [1, p-1]"),
 ], ids=["non-integer-p", "count-m-zero", "sbox-k-too-large", "prn-k-too-large",
         "unknown-class", "natural-set-m-too-large", "family-k-too-large",
         "family-correlation-k-too-large", "family-correlation-m-1", "analyze-format",
-        "family-format"])
+        "family-format", "underscore-p", "m-beyond-bound", "non-ascii-m", "non-ascii-primes",
+        "signed-b", "b-zero"])
 def test_invalid_parameters_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_PARAMS and out == ""
@@ -530,9 +550,20 @@ def test_invalid_parameters_exit_2(capsys, argv, message):
     ("sbox", '{"table": [1.0, 0.0]}'),
     ("sbox", '{"table": [0, 1], "m": "2"}'),
     ("sbox", '{"table": [1, 0], "provenance": 5}'),
+    ("sbox", '{"table": []}'),
+    ("sbox", " , "),
+    ("sbox", "0_1,0"),
+    ("sbox", "\u0660,\u0661"),
+    ("sbox", "0,,1"),
+    ("prn", "+1,-2"),
+    ("prn", '{"values": [1, -2]}'),
+    ("sbox", '{"table": [0], "m": 1048576}'),
+    ("prn", '{"values": ' + "[" * 100000),
 ], ids=["prn-csv-letters", "prn-json-no-values", "prn-json-broken", "prn-json-scalar",
         "prn-json-non-integers", "sbox-json-string-entry", "sbox-json-float-entries",
-        "sbox-json-string-m", "sbox-json-scalar-provenance"])
+        "sbox-json-string-m", "sbox-json-scalar-provenance", "sbox-json-empty", "sbox-csv-blank",
+        "sbox-csv-underscore", "sbox-csv-arabic-indic", "sbox-csv-empty-field", "prn-csv-signs",
+        "prn-json-negative", "sbox-json-m-not-table-size", "prn-json-nested-too-deep"])
 def test_malformed_analyze_input_exits_2(capsys, tmp_path, kind, text):
     in_file = tmp_path / "input.txt"
     in_file.write_text(text)
@@ -541,8 +572,24 @@ def test_malformed_analyze_input_exits_2(capsys, tmp_path, kind, text):
     assert "malformed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural", "--set"],
+    ["gen-prn", "--p", "11", "--b", "1", "--ordering", "natural", "--m", "2", "--A"],
+    ["count", "--config"],
+], ids=["analyze", "set", "A", "config"])
+def test_undecodable_files_exit_2(capsys, tmp_path, argv):
+    """Bytes that do not decode read as lone surrogates, which no reader accepts."""
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"\xff\xfe,1\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_BAD_PARAMS and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # --- any flag values: an exit code of the contract, never a traceback -----------
 
+CONTRACT = {EXIT_OK, EXIT_BAD_PARAMS, EXIT_IO, EXIT_UNSUPPORTED_METRIC, EXIT_RANGE_TOO_LARGE}
 # Hypothesis favours the first entries of a pool, so the usable values lead.
 # 7, 13, 31 are 1 mod 3; 1099511627831 is 2 mod 3 and above the --A full and --m guards
 PRIMES = ["11", "5", "17", "29", "101", "2", "3", "7", "13", "31", "1099511627831"]
@@ -582,5 +629,114 @@ def command_lines(draw):
 def test_main_keeps_exit_code_contract(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    assert code in {EXIT_OK, EXIT_BAD_PARAMS, EXIT_IO, EXIT_UNSUPPORTED_METRIC,
-                    EXIT_RANGE_TOO_LARGE}
+    assert code in CONTRACT
+
+
+# --- any file or stdin contents: the same contract, and accepted input round-trips
+
+# Every token below other than the first seven is refused wherever an integer is read.
+TOKENS = ["0", "1", "2", "3", "10", "0a", "ff", "", "0_1", "+1", "-2", "\u0660", "\u0661",
+          "\u00b2", "1.5", "x3", "9" * 5000, "f" * 513]
+SEPARATORS = [",", " ", "\n", ", ", ",,", "\t"]
+JSON_SHAPES = ["{}", "[]", "null", "{", '{"table": []}', '{"table": {"0": 0}}',
+               '{"values": [%d]}' % (1 << 2048), '{"values": [%d]}' % ((1 << 2048) - 1),
+               '{"table": [0], "m": 1048576}', '{"table": [0, 1], "provenance": []}',
+               '{"values": []}', '{"values": [-1, 2]}', '{"values": [true]}', '{"values": null}',
+               '{"values": ' + "[" * 10000]
+
+
+@st.composite
+def contents(draw):
+    """What an S-box, sequence or set file may hold: what format_sbox or
+    format_sequence writes (at most 64 entries, for analyze's sake), maybe
+    with a hostile token spliced in; tokens joined at random; blank text; or
+    JSON of a wrong shape."""
+    shape = draw(st.sampled_from(["written", "written", "tokens", "blank", "json"]))
+    if shape == "json":
+        return draw(st.sampled_from(JSON_SHAPES))
+    if shape == "blank":
+        return draw(st.sampled_from(["", " ", "\n", " , ", "\t\n"]))
+    if shape == "tokens":
+        tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=6))
+        return "".join(tok + draw(st.sampled_from(SEPARATORS)) for tok in tokens)
+    fmt = draw(st.sampled_from(["hex", "csv", "json"]))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 64))
+        text = format_sbox(SBox(tuple(draw(st.permutations(range(m)))), m), fmt)
+    else:
+        values = draw(st.lists(st.integers(0, 300), min_size=1, max_size=64))
+        text = format_sequence(SprnSequence(tuple(values), max(values) + 1), fmt)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(TOKENS[7:])) + text[at:]
+    return text
+
+
+def run_quietly(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_round_trips(parsed):
+    """Parsing what the writers write for an accepted S-box or sequence gives it back."""
+    for fmt in ("hex", "csv", "json"):
+        if isinstance(parsed, SBox):
+            assert parse_sbox(format_sbox(parsed, fmt)).table == parsed.table
+        elif not (fmt == "csv" and len(parsed) == 1 and parsed[0] > 9):
+            # (one CSV value has no comma, so "10" reads as hex; gen-prn writes
+            # a lone value only at m = 1, where it is 0)
+            seq = SprnSequence(tuple(parsed), max(parsed) + 1)
+            assert parse_sequence(format_sequence(seq, fmt)) == parsed
+
+
+def assert_contract(code, out, err):
+    assert code in CONTRACT and "Traceback" not in err
+    if code not in (EXIT_OK, EXIT_UNSUPPORTED_METRIC):
+        assert out == "" and err.startswith(("error: ", "usage:"))
+
+
+@given(st.sampled_from(["sbox", "prn"]), contents())
+@settings(max_examples=150, deadline=None)
+def test_analyze_keeps_exit_code_contract_on_any_input(kind, text):
+    code, out, err = run_quietly(["analyze", "-", "--kind", kind], stdin=text)
+    assert_contract(code, out, err)
+    if code in (EXIT_OK, EXIT_UNSUPPORTED_METRIC):
+        assert_round_trips(parse_sequence(text) if kind == "prn" else parse_sbox(text))
+
+
+CONFIG_KEYS = ["b", "m", "k", "t", "class", "format", "p", "kk"]
+CONFIG_VALUES = ["1", "2", "11", "c1", "csv", *TOKENS[7:]]
+FILE_COMMANDS = {
+    "--set": (["gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural",
+               "--format", "csv", "--set"], parse_sbox),
+    "--A": (["gen-prn", "--p", "11", "--b", "1", "--ordering", "natural", "--m", "2", "--A"],
+            parse_sequence),
+    "--config": (["gen-sbox", "--config"], parse_sbox),
+}
+
+
+@st.composite
+def config_files(draw):
+    lines = ["p = 11", "ordering = natural", "set = natural", "m = 11"]
+    lines += [f"{draw(st.sampled_from(CONFIG_KEYS))} = {draw(st.sampled_from(CONFIG_VALUES))}"
+              for _ in range(draw(st.integers(0, 3)))]
+    return "\n".join(lines) + "\n"
+
+
+@given(st.sampled_from(sorted(FILE_COMMANDS)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_read_files_keep_exit_code_contract(flag, data):
+    """--set and --A files, and --config files, hold any text."""
+    text = data.draw(st.one_of(contents(), config_files()) if flag == "--config" else contents())
+    argv, parse = FILE_COMMANDS[flag]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/input.txt"
+        with open(path, "w") as handle:
+            handle.write(text)
+        code, out, err = run_quietly([*argv, path])
+    assert_contract(code, out, err)
+    if code == EXIT_OK:
+        assert_round_trips(parse(out))

@@ -115,6 +115,10 @@ def test_sbox_rejects_non_permutation():
         SBox((0, 0, 1), 3)
     with pytest.raises(ValueError):
         SBox((0, 1), 3)
+    # an S-box has at least one entry, and m is its table's length
+    for table, m in (((), 0), ((), -1), ((0,), 3), ((0, 1), 1)):
+        with pytest.raises(MecforgeError, match=r"not a permutation of \[0, m-1\] with m >= 1"):
+            SBox(table, m)
 
 
 @pytest.mark.parametrize("kind", ALL_ORDERINGS)
@@ -213,6 +217,9 @@ def test_count_degenerate_cases():
     assert count_sboxes(11, 11) == (1, 11)
     per_k, total = count_sboxes(11, 4)
     assert per_k == 54 and total == 216
+    for m in (0, 12):  # the complete set's own range check and message
+        with pytest.raises(MecforgeError, match=rf"m = {m} must lie in \[1, p\] = \[1, 11\]"):
+            count_sboxes(11, m)
 
 
 @pytest.mark.parametrize("p", [5, 11, 17, 23, 29, 31])
@@ -382,6 +389,11 @@ def test_family_collects_per_item_errors(mod11):
     result = enumerate_family(modulus, Ordering.NATURAL, cs, 0, b_values=[0, 2, -1])
     assert [s.provenance_dict()["b"] for s in result.sboxes] == [2]
     assert [b for b, _ in result.errors] == [0, -1]
+    # Only b is collected: an inadmissible modulus (p = 1 mod 3) raises.
+    modulus = PrimeModulus(1048573)
+    with pytest.raises(MecforgeError, match="p = 1048573 is not admissible"):
+        enumerate_family(modulus, Ordering.NATURAL, CompleteSet.natural(16, modulus), 0,
+                         b_values=[0, 2])
 
 
 @pytest.mark.parametrize("p, b_values", [(11, range(1, 11)), (1048583, [2, 3])],
