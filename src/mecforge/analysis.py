@@ -11,13 +11,13 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import gf256
 from .errors import MecforgeError, NotPowerOfTwo, TooLarge
 from .generator import SBox, SprnSequence
+from .record import Record
 
 # analyze_sbox refuses more than 2^12 entries: its time grows about 5x per
 # input bit, to 14 s at 2^12 (CPython 3.11, one core of a shared 2-vCPU host).
@@ -82,7 +82,7 @@ def _sac_range(derivatives: list[list[int]]) -> tuple[Fraction, Fraction]:
     return Fraction(min(counts), size), Fraction(max(counts), size)
 
 
-def _bic_range(derivatives: list[list[int]]) -> tuple[Optional[Fraction], Optional[Fraction]]:
+def _bic_range(derivatives: list[list[int]]) -> tuple[Fraction | None, Fraction | None]:
     """Least and greatest BIC entry over the output-bit pairs i < r, or
     (None, None) for a 2-entry S-box, which has no pair."""
     n = len(derivatives)
@@ -142,19 +142,16 @@ def distinct_count(family: Sequence[SBox]) -> int:
     return len({sbox.table for sbox in family})
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    nl: int
-    lap: Fraction
-    dap: Fraction
-    ac: Optional[int]
-    sac_min: Fraction
-    sac_max: Fraction
-    bic_min: Optional[Fraction]
-    bic_max: Optional[Fraction]
-    fixed_points: int
+class AnalysisReport(Record):
+    __slots__ = ("nl", "lap", "dap", "ac", "sac_min", "sac_max", "bic_min", "bic_max",
+                 "fixed_points")
 
-    def to_json(self, indent: Optional[int] = None) -> str:
+    def __init__(self, nl: int, lap: Fraction, dap: Fraction, ac: int | None,
+                 sac_min: Fraction, sac_max: Fraction, bic_min: Fraction | None,
+                 bic_max: Fraction | None, fixed_points: int):
+        super().__init__(nl, lap, dap, ac, sac_min, sac_max, bic_min, bic_max, fixed_points)
+
+    def to_json(self, indent: int | None = None) -> str:
         def frac(f: Fraction) -> dict:
             return {"num": f.numerator, "den": f.denominator, "approx": round(float(f), 4)}
 
@@ -201,10 +198,8 @@ def analyze_sbox(sbox: SBox) -> AnalysisReport:
     )
 
 
-@dataclass(frozen=True)
-class Histogram:
-    frequencies: dict[int, int]
-    length: int
+class Histogram(Record):
+    __slots__ = ("frequencies", "length")  # dict[int, int], int
 
 
 def histogram(seq: SprnSequence | Sequence[int]) -> Histogram:

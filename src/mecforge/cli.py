@@ -13,9 +13,8 @@ in a flag or a file, is ASCII digits (hex in hex formats): no sign, '_' or gap.
 
 import argparse
 import json
-import pathlib
 import sys
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import analysis, data
 from .errors import IOFailure, MecforgeError, NotPowerOfTwo, TooLarge
@@ -82,16 +81,19 @@ def parse_integer_tokens(text: str) -> list[int]:
 def read_text(path: str) -> str:
     try:
         # undecodable bytes read as lone surrogates, which no reader accepts: exit 2
-        return sys.stdin.read() if path == "-" else pathlib.Path(path).read_text(
-            errors="surrogateescape")
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, errors="surrogateescape") as f:
+            return f.read()
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
 
 
-def write_output(text: str, out: Optional[str]) -> None:
+def write_output(text: str, out: str | None) -> None:
     if out:
         try:
-            pathlib.Path(out).write_text(text)
+            with open(out, "w") as f:
+                f.write(text)
         except OSError as exc:
             raise IOFailure(f"cannot write {out}: {exc}") from exc
     else:
@@ -298,7 +300,7 @@ def cmd_gen_prn(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    text = data.path("aes_sbox.txt").read_text() if args.input == "aes" else read_text(args.input)
+    text = data.read("aes_sbox.txt") if args.input == "aes" else read_text(args.input)
     name, parse = ("sequence", parse_sequence) if args.kind == "prn" else ("S-box", parse_sbox)
     try:
         values = sbox = parse(text)
@@ -446,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,17 +1,22 @@
-"""Bundled reference tables."""
+"""Bundled reference tables, in the files next to this module."""
 
-from importlib import resources
+import os
+
+_DIR = os.path.dirname(__file__)
 
 
-def _read(name: str) -> str:
-    return resources.files(__package__).joinpath(name).read_text()
+def read(name: str) -> str:
+    """Text of a bundled data file."""
+    with open(os.path.join(_DIR, name), encoding="utf-8") as f:
+        return f.read()
 
 
 def reference_complete_set_52511() -> list[int]:
     """The published 256-element complete set over p = 52511."""
-    return [int(tok, 16) for tok in _read("complete_set_52511.txt").split()]
+    return [int(tok, 16) for tok in read("complete_set_52511.txt").split()]
 
 
 def path(name: str):
-    """Filesystem path of a bundled data file."""
-    return resources.files(__package__).joinpath(name)
+    """Filesystem path of a bundled data file, as a `pathlib.Path`."""
+    import pathlib  # loaded only for the callers that want a Path
+    return pathlib.Path(_DIR, name)

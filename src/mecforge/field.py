@@ -5,9 +5,8 @@ canonical residues in [0, p-1]; all operations are pure.  Cube roots, which
 exist uniquely exactly when p = 2 (mod 3), are taken in `mec.points`.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import MecforgeError
+from .record import Record
 
 # Deterministic Miller-Rabin witness set, valid for every n < 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -37,8 +36,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
+class PrimeModulus(Record):
     """A validated odd prime modulus.
 
     ``mec_admissible`` is true exactly when p = 2 (mod 3), the condition
@@ -46,13 +44,12 @@ class PrimeModulus:
     exactly once as a y-coordinate.
     """
 
-    p: int
-    mec_admissible: bool = field(init=False)
+    __slots__ = ("p", "mec_admissible")
 
-    def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise MecforgeError(f"{self.p} is not an odd prime")
-        object.__setattr__(self, "mec_admissible", self.p % 3 == 2)
+    def __init__(self, p: int):
+        if p < 3 or p % 2 == 0 or not is_prime(p):
+            raise MecforgeError(f"{p} is not an odd prime")
+        super().__init__(p, p % 3 == 2)
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.p:

@@ -19,13 +19,16 @@ the permutation check that `SBox(...)` runs on a table read from outside.
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import MecforgeError, TooLarge
 from .field import PrimeModulus
-from .mec import MordellCurve, _check_b
+from .mec import MordellCurve, _check_admissible, _check_b
 from .ordering import Ordering, _curve_orders, rank_of_y
+from .record import Record
+
+
+Provenance = tuple[tuple[str, object], ...]
 
 
 def _check_set_size(m: int, p: int) -> None:
@@ -33,29 +36,27 @@ def _check_set_size(m: int, p: int) -> None:
         raise MecforgeError(f"m = {m} must lie in [1, p] = [1, {p}]")
 
 
-@dataclass(frozen=True)
-class CompleteSet:
+class CompleteSet(Record):
     """An (m, p)-complete set: m residues of [0, p-1], pairwise distinct mod m.
     Every instance is checked, so its residues ordered on any curve make a
     permutation of [0, m-1]."""
 
-    elements: tuple[int, ...]
-    m: int
-    modulus: PrimeModulus
+    __slots__ = ("elements", "m", "modulus")
 
-    def __post_init__(self):
-        m, p = self.m, self.modulus.p
+    def __init__(self, elements: tuple[int, ...], m: int, modulus: PrimeModulus):
+        p = modulus.p
         _check_set_size(m, p)
-        if len(self.elements) != m:
-            raise MecforgeError(f"expected {m} elements, got {len(self.elements)}")
+        if len(elements) != m:
+            raise MecforgeError(f"expected {m} elements, got {len(elements)}")
         seen: dict[int, int] = {}
-        for e in self.elements:
+        for e in elements:
             if not 0 <= e <= p - 1:
                 raise MecforgeError(f"element {e} outside [0, {p - 1}]")
             r = e % m
             if r in seen:
                 raise MecforgeError(f"{seen[r]} and {e} are congruent mod {m}")
             seen[r] = e
+        super().__init__(elements, m, modulus)
 
     @classmethod
     def validate(cls, elements: Iterable[int], m: int, modulus: PrimeModulus) -> "CompleteSet":
@@ -68,25 +69,24 @@ class CompleteSet:
         return cls.validate(range(m), m, modulus)
 
 
-@dataclass(frozen=True)
-class SBox:
+class SBox(Record):
     """A bijection on [0, m-1] with the parameters that produced it."""
 
-    table: tuple[int, ...]
-    m: int
-    provenance: tuple[tuple[str, object], ...] = ()
+    __slots__ = ("table", "m", "provenance")
 
-    def __post_init__(self):  # |table| = m first: range(m) is built at the table's size only
-        if not 0 < len(self.table) == self.m or sorted(self.table) != list(range(self.m)):
+    def __init__(self, table: tuple[int, ...], m: int, provenance: Provenance = ()):
+        # |table| = m first: range(m) is built at the table's size only
+        if not 0 < len(table) == m or sorted(table) != list(range(m)):
             raise MecforgeError("S-box table is not a permutation of [0, m-1] with m >= 1")
+        super().__init__(table, m, provenance)
 
     @classmethod
-    def _of_permutation(cls, table: tuple[int, ...], m: int,
-                        provenance: tuple[tuple[str, object], ...]) -> "SBox":
+    def _of_permutation(cls, table: tuple[int, ...], m: int, provenance: Provenance) -> "SBox":
         """The S-box `SBox(table, m, provenance)` gives, without the sort that
         checks it: for a table that is a permutation of [0, m-1] by
         construction, as every reordering of a validated complete set's
-        residues is."""
+        residues is.  A family builds one per curve, so the fields are set
+        here directly."""
         box = object.__new__(cls)
         object.__setattr__(box, "table", table)
         object.__setattr__(box, "m", m)
@@ -97,13 +97,13 @@ class SBox:
         return dict(self.provenance)
 
 
-@dataclass(frozen=True)
-class SprnSequence:
+class SprnSequence(Record):
     """A finite sequence of residues mod m derived from an ordered y-set."""
 
-    values: tuple[int, ...]
-    m: int
-    provenance: tuple[tuple[str, object], ...] = ()
+    __slots__ = ("values", "m", "provenance")
+
+    def __init__(self, values: tuple[int, ...], m: int, provenance: Provenance = ()):
+        super().__init__(values, m, provenance)
 
     def provenance_dict(self) -> dict:
         return dict(self.provenance)
@@ -154,11 +154,13 @@ def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: i
     The output has length |A|; entry i is the ((i+k) mod |A|)-th element of
     the ordered set, reduced mod m.
     """
-    ys = sorted(set(y_set))
+    # a range holds distinct ys already, with its least and greatest at its ends
+    ys = y_set if isinstance(y_set, range) and y_set.step == 1 else set(y_set)
     if not ys:
         raise MecforgeError("input set A is empty")
-    if ys[0] < 0 or ys[-1] >= curve.p:  # y and y + p name the same point
-        raise MecforgeError(f"element {ys[0] if ys[0] < 0 else ys[-1]} outside [0, {curve.p - 1}]")
+    lo, hi = (ys[0], ys[-1]) if ys is y_set else (min(ys), max(ys))
+    if lo < 0 or hi >= curve.p:  # y and y + p name the same point
+        raise MecforgeError(f"element {lo if lo < 0 else hi} outside [0, {curve.p - 1}]")
     if not 1 <= m <= len(ys):
         raise MecforgeError(f"m = {m} must lie in [1, |A|] = [1, {len(ys)}]")
     _check_shift(k, m)
@@ -203,7 +205,7 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
     """Largest m at which two distinct curves still emit the same natural S-box.
 
     Uses k = 0 and Y = [0, m-1].  Exhaustive over all p-1 curves, hence
-    guarded by ``max_p``.
+    guarded by ``max_p``; a p that carries no curve is refused after the guard.
 
     A table at size m is a permutation of [0, m-1], so below the floor, the
     least m with m! >= p - 1, two of the p - 1 curves must collide.  A table
@@ -218,6 +220,7 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
     p = modulus.p
     if p > max_p:
         raise TooLarge(f"p = {p} exceeds the exhaustive guard {max_p}")
+    _check_admissible(modulus)
     low = top = next(m for m in range(1, p) if math.factorial(m) >= p - 1)
     while True:
         top = min(2 * top, p - 1)
@@ -234,12 +237,10 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
     return low - 1
 
 
-@dataclass
-class FamilyResult:
+class FamilyResult(Record):
     """Batch generation outcome: S-boxes ordered by parameter, errors collected."""
 
-    sboxes: list[SBox]
-    errors: list[tuple[object, Exception]]
+    __slots__ = ("sboxes", "errors")  # list[SBox], list[tuple[object, Exception]]
 
 
 # A family takes one pass over F_p x Y when it has at least one curve per
@@ -258,9 +259,9 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
                      b_values: Iterable[int]) -> FamilyResult:
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
-    A shift k outside [0, m-1] is refused once, before any curve; a b
-    outside [1, p-1] is collected as the error that `MordellCurve` would
-    raise, and any other failure raises.  A family of at
+    A shift k outside [0, m-1] and a p that carries no curve are refused
+    once, before any curve; a b outside [1, p-1] is collected as the error
+    that `MordellCurve` would raise, and any other failure raises.  A family of at
     least p/7 curves takes one pass over F_p x Y, which orders the complete
     set on every curve of p at once and reduces it mod m; each row becomes
     its curve's table, rotated by k, where it lies, so the rows are freed as
@@ -268,6 +269,7 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
     own, as `sbox_direct` does.
     """
     _check_shift(k, complete_set.m)
+    _check_admissible(modulus)
     p = modulus.p
     result = FamilyResult([], [])
     valid = []

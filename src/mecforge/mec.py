@@ -13,12 +13,12 @@ points: an isomorphism class and a parameter t only select the curve
 E_{p, t^6 b} for the class representative b.
 """
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Iterable, Iterator
 
 from .errors import MecforgeError
 from .field import PrimeModulus
+from .record import Record
 
 
 class CurveClass(Enum):
@@ -29,15 +29,13 @@ class CurveClass(Enum):
     C2 = "C2"
 
 
-@dataclass(frozen=True)
-class MordellCurve:
-    modulus: PrimeModulus
-    b: int
+class MordellCurve(Record):
+    __slots__ = ("modulus", "b")
 
-    def __post_init__(self):
-        if not self.modulus.mec_admissible:
-            raise MecforgeError(f"p = {self.p} is not admissible (need p = 2 mod 3, p > 3)")
-        _check_b(self.b, self.p)
+    def __init__(self, modulus: PrimeModulus, b: int):
+        _check_admissible(modulus)
+        _check_b(b, modulus.p)
+        super().__init__(modulus, b)
 
     @property
     def p(self) -> int:
@@ -46,6 +44,11 @@ class MordellCurve:
     def isomorphic(self, t: int) -> "MordellCurve":
         """E_{p, t^6 b}, the curve that (x, y) -> (t^2 x, t^3 y) maps this E_{p, b} onto."""
         return MordellCurve(self.modulus, pow(t, 6, self.p) * self.b % self.p)
+
+
+def _check_admissible(modulus: PrimeModulus) -> None:
+    if not modulus.mec_admissible:
+        raise MecforgeError(f"p = {modulus.p} is not admissible (need p = 2 mod 3, p > 3)")
 
 
 def _check_b(b: int, p: int) -> None:

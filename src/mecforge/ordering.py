@@ -18,8 +18,8 @@ once, with no cube root and no sort.
 """
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Collection, Iterable
 from enum import Enum
-from typing import Collection, Iterable
 
 from .field import PrimeModulus
 from .mec import MordellCurve, points

@@ -188,6 +188,21 @@ def test_sprn_errors(curve_11_1):
         sprn(curve_11_1, Ordering.NATURAL, [1, 12, -10], 3, 0)
     with pytest.raises(MecforgeError, match=r"element 11 outside \[0, 10\]"):
         sprn(curve_11_1, Ordering.NATURAL, range(12), 3, 0)
+    # a range is read off its ends, as a set is off its least and greatest
+    with pytest.raises(MecforgeError, match="input set A is empty"):
+        sprn(curve_11_1, Ordering.NATURAL, range(5, 5), 1, 0)
+    with pytest.raises(MecforgeError, match=r"element -3 outside \[0, 10\]"):
+        sprn(curve_11_1, Ordering.NATURAL, range(-3, 5), 1, 0)
+    with pytest.raises(MecforgeError, match=r"element 12 outside \[0, 10\]"):
+        sprn(curve_11_1, Ordering.NATURAL, range(12, 0, -1), 1, 0)  # ends reversed
+
+
+@pytest.mark.parametrize("kind", ALL_ORDERINGS)
+def test_sprn_takes_a_range_as_its_set(kind):
+    curve = MordellCurve(PrimeModulus(101), 7)
+    for ys in (range(101), range(20, 60), range(0, 101, 3), range(100, 0, -1)):
+        seq = sprn(curve, kind, ys, 4, 1)
+        assert seq == sprn(curve, kind, set(ys), 4, 1) == sprn(curve, kind, list(ys)[::-1], 4, 1)
 
 
 @given(st.sampled_from([p for p in SMALL_ADMISSIBLE if p >= 11]),
@@ -262,6 +277,26 @@ def test_pstar_exhaustive_small(p, kind):
 def test_pstar_guard():
     with pytest.raises(TooLarge):
         pstar(PrimeModulus(52511), Ordering.NATURAL)
+
+
+@pytest.mark.parametrize("p, max_p", [(7, 2000), (4999, 5000)])
+def test_pstar_refuses_an_inadmissible_modulus(p, max_p):
+    """A p = 1 mod 3 carries no curve of the package: refused as invalid input,
+    not left to overrun the pass's rows."""
+    with pytest.raises(MecforgeError) as caught:
+        pstar(PrimeModulus(p), Ordering.NATURAL, max_p)
+    assert type(caught.value) is MecforgeError
+    assert str(caught.value) == f"p = {p} is not admissible (need p = 2 mod 3, p > 3)"
+
+
+@pytest.mark.parametrize("p, b_values", [(7, [1, 2, 3]), (7, range(1, 7)), (13, [1])],
+                         ids=["one-pass", "all-b", "per-curve"])
+def test_family_refuses_an_inadmissible_modulus(p, b_values):
+    modulus = PrimeModulus(p)
+    with pytest.raises(MecforgeError) as caught:
+        enumerate_family(modulus, Ordering.NATURAL, CompleteSet.natural(p, modulus), 0, b_values)
+    assert type(caught.value) is MecforgeError
+    assert str(caught.value) == f"p = {p} is not admissible (need p = 2 mod 3, p > 3)"
 
 
 def test_family_over_all_b(mod11):
