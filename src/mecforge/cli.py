@@ -85,7 +85,7 @@ def read_text(path: str) -> str:
             return sys.stdin.read()
         with open(path, errors="surrogateescape") as f:
             return f.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IOFailure(f"cannot read {path}: {exc}") from exc
 
 
@@ -94,7 +94,7 @@ def write_output(text: str, out: str | None) -> None:
         try:
             with open(out, "w") as f:
                 f.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise IOFailure(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
@@ -374,7 +374,7 @@ def cmd_family(args) -> int:
         "k": args.k,
         "family_size": len(boxes),
         "distinct": analysis.distinct_count(boxes),
-        "avg_fixed_points": round(sum(fp) / len(fp), 4) if fp else None,
+        "avg_fixed_points": round(sum(fp) / len(fp), 4),
         "errors": len(result.errors),
     }
     if args.correlation:

@@ -7,12 +7,12 @@ representative E_{p, b} and an isomorphism parameter, which only select the
 curve E_{p, t^6 b}.  Both build the table the same way, and `sprn` orders
 its y-set the same way: `ordering.rank_of_y` takes one cube root per element
 of a sparse set, and none for a set of at least p/5 ys, which it orders in
-one walk over x.  The exhaustive paths, `pstar` and a large
-`enumerate_family`, order their y-set on all p - 1 curves of one modulus at
-once, in one pass over F_p x Y (`ordering._curve_orders`), with no cube root
-and no sort.  The pass hands back each curve's ys already reduced mod m, so
-a family's table is one rotation of its curve's row, and `pstar` reads every
-size below its pass off the same rows.  A table built from a
+one walk over x.  The exhaustive paths, `pstar` and `enumerate_family`,
+order their y-set on all p - 1 curves of one modulus at once, in one pass
+over F_p x Y (`ordering._curve_orders`), with no cube root and no sort.
+The pass hands back each curve's ys already reduced mod m, so a family's
+table is one rotation of its curve's row, and `pstar` reads every size
+below its pass off the same rows.  A table built from a
 validated complete set is a permutation by construction, so `_sbox` skips
 the permutation check that `SBox(...)` runs on a table read from outside.
 """
@@ -238,55 +238,32 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
 
 
 class FamilyResult(Record):
-    """Batch generation outcome: S-boxes ordered by parameter, errors collected."""
+    """A family's S-boxes, in the order of its b-values.  `errors` is always
+    empty: a bad b is refused before the pass, not collected."""
 
-    __slots__ = ("sboxes", "errors")  # list[SBox], list[tuple[object, Exception]]
-
-
-# A family takes one pass over F_p x Y when it has at least one curve per
-# _FAMILY_PASS_RATIO residues of p.  The pass costs p*m steps and holds p
-# rows of m, and then one rotation per curve; a curve's own lookups and sort
-# cost m elements.  Measured with m = 256 (CPython 3.11, shared 2-vCPU Xeon),
-# the two paths broke even at about p/9 curves (natural), p/8 (diffusion) and
-# p/8 (modulo) for p = 2111, and at about p/7 for each ordering at p = 8009;
-# at p/7 the pass took at most 1.07 times as long as the per-curve path, and
-# at p/6 it won for every ordering at both primes.  The pass holds at most
-# about _FAMILY_PASS_RATIO times the tables it returns.
-_FAMILY_PASS_RATIO = 7
+    __slots__ = ("sboxes", "errors")  # list[SBox], list
 
 
 def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: CompleteSet, k: int,
                      b_values: Iterable[int]) -> FamilyResult:
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
-    A shift k outside [0, m-1] and a p that carries no curve are refused
-    once, before any curve; a b outside [1, p-1] is collected as the error
-    that `MordellCurve` would raise, and any other failure raises.  A family of at
-    least p/7 curves takes one pass over F_p x Y, which orders the complete
-    set on every curve of p at once and reduces it mod m; each row becomes
-    its curve's table, rotated by k, where it lies, so the rows are freed as
-    the tables are built.  A smaller family orders each curve's set on its
-    own, as `sbox_direct` does.
+    A shift k outside [0, m-1], a p that carries no curve and a b outside
+    [1, p-1] are refused, with `MordellCurve`'s message, before the pass.
+    One pass over F_p x Y orders the complete set on every curve of p at
+    once and reduces it mod m; each row becomes its curve's S-box, rotated
+    by k, where it lies, so the rows are freed as the S-boxes are built.
+    Every curve of p is built, so a few curves of a large p cost the whole
+    pass; `sbox_direct` builds one.  A b named twice gets its S-box twice.
     """
     _check_shift(k, complete_set.m)
     _check_admissible(modulus)
     p = modulus.p
-    result = FamilyResult([], [])
-    valid = []
+    b_values = list(b_values)
     for b in b_values:
-        try:
-            _check_b(b, p)
-            valid.append(b)
-        except MecforgeError as exc:
-            result.errors.append((b, exc))
-    rows = (_curve_orders(modulus, kind, complete_set.elements, complete_set.m)
-            if len(valid) * _FAMILY_PASS_RATIO >= p else None)
-    for b in valid:
-        table = None
-        if rows is not None:
-            row = rows[b]
-            if isinstance(row, list):  # a repeated b finds its table built
-                rows[b] = tuple(row[k:] + row[:k])
-            table = rows[b]
-        result.sboxes.append(_sbox(MordellCurve(modulus, b), kind, complete_set, k, table))
-    return result
+        _check_b(b, p)
+    family = _curve_orders(modulus, kind, complete_set.elements, complete_set.m)
+    for b in range(1, p):
+        row = family[b]
+        family[b] = _sbox(MordellCurve(modulus, b), kind, complete_set, k, tuple(row[k:] + row[:k]))
+    return FamilyResult([family[b] for b in b_values], [])

@@ -165,6 +165,22 @@ def test_gen_sbox_missing_set_file(capsys):
     assert code == EXIT_IO and "cannot read" in err
 
 
+@pytest.mark.parametrize("line, argv, message", [
+    ("set = a\0b", [], "cannot read"),
+    ("set = natural\nm = 11\nout = a\0b", [], "cannot write"),
+    ("set = natural\nm = 11", ["--out", "a\0b"], "cannot write"),
+], ids=["config-set", "config-out", "flag-out"])
+def test_nul_byte_in_a_path_exits_3(capsys, tmp_path, line, argv, message):
+    """open() refuses a path holding a NUL byte with ValueError, not OSError.
+    argv cannot carry one, but a --config value and an in-process main() can."""
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text(f"{line}\n")
+    code, out, err = run(capsys, "gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural",
+                         "--config", str(cfg), *argv)
+    assert code == EXIT_IO and out == ""
+    assert f"error: {message} a\0b: " in err and "Traceback" not in err
+
+
 def test_gen_sbox_invalid_complete_set(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 11")  # 0 = 11 (mod 11) would be fine; 0 and 11 collide mod 2

@@ -125,7 +125,7 @@ def test_sbox_rejects_non_permutation():
 def test_generated_sboxes_match_checked_construction(kind):
     """A generated table is a permutation by construction and skips the check;
     the S-box still equals, hashes and prints as `SBox(...)` of its fields,
-    from the family pass, the per-curve family path and both single paths."""
+    from a whole family, a family of two curves and both single paths."""
     modulus = PrimeModulus(101)
     cs = CompleteSet.natural(13, modulus)
     boxes = enumerate_family(modulus, kind, cs, 5, b_values=range(1, 101)).sboxes
@@ -290,7 +290,7 @@ def test_pstar_refuses_an_inadmissible_modulus(p, max_p):
 
 
 @pytest.mark.parametrize("p, b_values", [(7, [1, 2, 3]), (7, range(1, 7)), (13, [1])],
-                         ids=["one-pass", "all-b", "per-curve"])
+                         ids=["one-pass", "all-b", "one-b"])
 def test_family_refuses_an_inadmissible_modulus(p, b_values):
     modulus = PrimeModulus(p)
     with pytest.raises(MecforgeError) as caught:
@@ -331,7 +331,7 @@ def test_family_matches_trial_loop(p, kind):
 def test_single_curve_paths_build_no_table(monkeypatch, capsys):
     """Criterion 09: one S-box or sequence costs its own lookups, or one walk
     over x for a dense set, never a pass over F_p x Y, through the API and
-    the CLI; so does a family of a few curves over a large p."""
+    the CLI."""
     def refuse(modulus, kind, ys, m):
         raise AssertionError("a pass over F_p x Y was taken")
     for module in (ordering, generator):
@@ -342,8 +342,6 @@ def test_single_curve_paths_build_no_table(monkeypatch, capsys):
     sbox = sbox_direct(curve, Ordering.DIFFUSION, cs, 3)
     assert sbox_iso(curve, 1, Ordering.DIFFUSION, cs, 3) == sbox
     assert sprn(curve, Ordering.MODULO, range(1000), 16, 2).m == 16
-    family = enumerate_family(modulus, Ordering.DIFFUSION, cs, 3, b_values=[5, 7])
-    assert family.sboxes[0] == sbox and not family.errors
     assert main(["gen-sbox", "--p", "52511", "--b", "1", "--ordering", "natural",
                  "--set", "natural", "--m", "256"]) == 0
     assert main(["gen-prn", "--p", "3917", "--b", "301", "--ordering", "modulo",
@@ -354,7 +352,7 @@ def test_single_curve_paths_build_no_table(monkeypatch, capsys):
 def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
     """pstar takes one pass, at twice the least m with m! >= p - 1 or at
     p - 1 if that is less, for every admissible p in 5..499 under each
-    ordering; a whole family takes one."""
+    ordering; a family takes one, of any b-list."""
     passes = []
 
     def count(modulus, kind, ys, m):
@@ -374,6 +372,9 @@ def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
     result = enumerate_family(modulus, Ordering.MODULO, CompleteSet.natural(13, modulus), 4,
                               b_values=range(1, 101))
     assert len(result.sboxes) == 100 and passes == [(101, 13)]
+    result = enumerate_family(modulus, Ordering.MODULO, CompleteSet.natural(13, modulus), 4,
+                              b_values=[3, 3])
+    assert len(result.sboxes) == 2 and passes == [(101, 13)] * 2
 
 
 @pytest.mark.parametrize("p", [29, 53])
@@ -403,39 +404,42 @@ def test_pstar_doubles_its_pass_while_the_curves_collide(monkeypatch, p, kind):
     assert passes == [2 ** i for i in range(1, p.bit_length())] + [p - 1]
 
 
-def test_family_collects_per_item_errors(mod11):
-    cs = CompleteSet.natural(11, mod11)
-    result = enumerate_family(mod11, Ordering.NATURAL, cs, 0, b_values=[1, 0, 2])
-    assert [s.provenance_dict()["b"] for s in result.sboxes] == [1, 2]
-    assert len(result.errors) == 1 and result.errors[0][0] == 0
-    # One pass over F_11 x Y: b = 0 and b = -1 name rows 0 and 10 of the pass,
-    # and are refused as curves before either row is read.
-    result = enumerate_family(mod11, Ordering.MODULO, cs, 3, b_values=[1, 0, -1, 11, 2, 2])
-    assert [b for b, _ in result.errors] == [0, -1, 11]
-    assert all(isinstance(exc, MecforgeError) for _, exc in result.errors)
-    assert [str(exc) for _, exc in result.errors] == \
-        [f"b = {b} must lie in [1, p-1]" for b in (0, -1, 11)]  # MordellCurve's message
-    assert [s.provenance_dict()["b"] for s in result.sboxes] == [1, 2, 2]
-    assert result.sboxes[1] == result.sboxes[2] == \
-        sbox_direct(MordellCurve(mod11, 2), Ordering.MODULO, cs, 3)
-    # A few curves over a large p take the per-curve path, with the same errors.
-    modulus = PrimeModulus(1048583)
-    cs = CompleteSet.natural(16, modulus)
-    result = enumerate_family(modulus, Ordering.NATURAL, cs, 0, b_values=[0, 2, -1])
-    assert [s.provenance_dict()["b"] for s in result.sboxes] == [2]
-    assert [b for b, _ in result.errors] == [0, -1]
-    # Only b is collected: an inadmissible modulus (p = 1 mod 3) raises.
-    modulus = PrimeModulus(1048573)
-    with pytest.raises(MecforgeError, match="p = 1048573 is not admissible"):
-        enumerate_family(modulus, Ordering.NATURAL, CompleteSet.natural(16, modulus), 0,
-                         b_values=[0, 2])
+@pytest.mark.parametrize("b_values", [[0], [-1], [11], [1, 2, 0, 3], [2, 11, -1]],
+                         ids=["zero", "negative", "p", "mixed", "mixed-bad-last"])
+def test_family_refuses_a_bad_b_before_the_pass(monkeypatch, mod11, b_values):
+    """A b outside [1, p-1] is refused with `MordellCurve`'s message, before
+    the pass: b = 0 and b = -1 would name rows 0 and 10 of it."""
+    def refuse(modulus, kind, ys, m):
+        raise AssertionError("a pass over F_p x Y was taken")
+    monkeypatch.setattr(generator, "_curve_orders", refuse)
+    bad = next(b for b in b_values if not 1 <= b <= 10)
+    with pytest.raises(MecforgeError) as caught:
+        enumerate_family(mod11, Ordering.MODULO, CompleteSet.natural(11, mod11), 3, b_values)
+    assert type(caught.value) is MecforgeError
+    assert str(caught.value) == f"b = {bad} must lie in [1, p-1]"
+    with pytest.raises(MecforgeError, match=rf"b = {bad} must lie in \[1, p-1\]"):
+        MordellCurve(mod11, bad)
 
 
-@pytest.mark.parametrize("p, b_values", [(11, range(1, 11)), (1048583, [2, 3])],
-                         ids=["one-pass", "per-curve"])
+@pytest.mark.parametrize("kind", ALL_ORDERINGS, ids=lambda kind: kind.value)
+def test_family_of_some_b_matches_sbox_direct(kind):
+    """Any b-list reads its S-boxes off the whole family, in its own order;
+    a b named twice gets the same S-box twice."""
+    modulus = PrimeModulus(101)
+    cs = CompleteSet.natural(13, modulus)
+    b_values = [7, 2, 100, 7, 1, 2]
+    result = enumerate_family(modulus, kind, cs, 4, b_values)
+    assert result.sboxes == [sbox_direct(MordellCurve(modulus, b), kind, cs, 4) for b in b_values]
+    assert result.errors == []
+    assert enumerate_family(modulus, kind, cs, 4, iter([5])).sboxes == \
+        [sbox_direct(MordellCurve(modulus, 5), kind, cs, 4)]
+
+
+@pytest.mark.parametrize("p, b_values", [(11, range(1, 11)), (11, [2, 3])],
+                         ids=["one-pass", "two-b"])
 def test_family_raises_a_fault_in_the_build(monkeypatch, p, b_values):
-    """Only a bad b is collected: a fault in building a curve's S-box raises,
-    on either path, instead of becoming one error per curve."""
+    """A fault in building a curve's S-box raises, for a whole family and
+    for a few of its curves alike."""
     def broken(*args, **kwargs):
         raise RuntimeError("broken build")
     monkeypatch.setattr(generator, "_sbox", broken)
