@@ -11,8 +11,9 @@ one walk over x.  The exhaustive paths, `pstar` and `enumerate_family`,
 order their y-set on all p - 1 curves of one modulus at once, in one pass
 over F_p x Y (`ordering._curve_orders`), with no cube root and no sort.
 The pass hands back each curve's ys already reduced mod m, so a family's
-table is one rotation of its curve's row, and `pstar` reads every size
-below its pass off the same rows.  A table built from a
+table is one rotation of its curve's row.  `pstar` reads every size below
+its pass off the same rows, and orders only the few curves that still agree
+at the pass one by one at each size above it.  A table built from a
 validated complete set is a permutation by construction, so `_sbox` skips
 the permutation check that `SBox(...)` runs on a table read from outside.
 """
@@ -209,32 +210,40 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
 
     A table at size m is a permutation of [0, m-1], so below the floor, the
     least m with m! >= p - 1, two of the p - 1 curves must collide.  A table
-    at m' < m is the table at m with the ys >= m' removed, so a collision at
-    m also holds at every m' < m.  One pass over F_p x [0, top-1], with
-    top = min(2 * floor, p - 1), orders every curve at once; while the
-    curves still collide at top, top doubles and the pass runs again.  Then
-    m counts down from top - 1 to the floor, dropping y = m from every row,
-    and the first m at which two rows agree is p*; if none does, p* is one
-    below the floor.
+    at m' < m is the table at m with the ys >= m' removed, so curves that
+    agree at m agree at every m' < m.  One pass over F_p x [0, top-1], with
+    top = min(floor + 2, p - 1), orders every curve at once.  If the curves
+    all differ at top, m counts down from top - 1 to the floor, dropping
+    y = m from every row, and the first m at which two rows agree is p*; if
+    none does, p* is one below the floor.  Otherwise only the curves that
+    agree with another go on: at m = top + 1, top + 2, ... each of them
+    takes its table at m (two curves that differ below m differ at m), and
+    p* is the last m at which two of them agreed, or p - 1 if two still do.
     """
     p = modulus.p
     if p > max_p:
         raise TooLarge(f"p = {p} exceeds the exhaustive guard {max_p}")
     _check_admissible(modulus)
-    low = top = next(m for m in range(1, p) if math.factorial(m) >= p - 1)
-    while True:
-        top = min(2 * top, p - 1)
-        rows = _curve_orders(modulus, kind, range(top), top)[1:]
-        if len(set(map(tuple, rows))) == p - 1:
-            break
-        if top == p - 1:
-            return p - 1
-    for m in range(top - 1, low - 1, -1):
-        for row in rows:
-            row.remove(m)
-        if len(set(map(tuple, rows))) < p - 1:
-            return m
-    return low - 1
+    low = next(m for m in range(1, p) if math.factorial(m) >= p - 1)
+    top = min(low + 2, p - 1)
+    rows = _curve_orders(modulus, kind, range(top), top)[1:]
+    if len(set(map(tuple, rows))) == p - 1:
+        for m in range(top - 1, low - 1, -1):
+            for row in rows:
+                row.remove(m)
+            if len(set(map(tuple, rows))) < p - 1:
+                return m
+        return low - 1
+    agree = range(1, p)  # tables at m: off the rows at top, then curve by curve
+    for m in range(top, p):
+        parts: dict[tuple, list[int]] = {}
+        for b in agree:
+            table = rows[b - 1] if m == top else rank_of_y(kind, MordellCurve(modulus, b), range(m))
+            parts.setdefault(tuple(table), []).append(b)
+        agree = [b for part in parts.values() if len(part) > 1 for b in part]
+        if not agree:
+            return m - 1
+    return p - 1
 
 
 class FamilyResult(Record):

@@ -133,6 +133,16 @@ def pstar_direct(p: int, kind: Ordering) -> int:
     return best
 
 
+def natural_tables(p: int, kind: Ordering, m: int) -> list[tuple[int, ...]]:
+    """Every curve E_{p, b}'s table at k = 0 over Y = [0, m-1], b = 1..p-1:
+    each y's partner x read from a table of all cubes, and the m points
+    sorted whole."""
+    cube_root = brute_force_cube_roots(p)
+    key = ordering_key(kind, p)
+    return [tuple(y for _, y in sorted(((cube_root[(y * y - b) % p], y) for y in range(m)), key=key))
+            for b in range(1, p)]
+
+
 def pairwise_correlation(tables) -> tuple[float, float, float]:
     """Least, greatest and average Pearson correlation of the tables, one
     `statistics.correlation` per pair, with no use of their being permutations."""

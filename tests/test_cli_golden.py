@@ -87,6 +87,18 @@ def sha256(text: str) -> str:
                  "f5efff7d90b6a738fd3493c7a35f15c5fab40bd80e2e0b47f180d0fc990b309c",
                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                  id="pstar-modulo-499"),
+    pytest.param(["pstar", "--primes", "500..1999", "--ordering", "natural"], 0,
+                 "d4e93716b19d2bb021e164e4c73b5dbd496f3033ce91bd192d30d08844bca692",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-natural-1999"),
+    pytest.param(["pstar", "--primes", "500..1999", "--ordering", "diffusion"], 0,
+                 "41f2bfe000e64f4288faba76463c3fe30e1f1dbffc0e41407f3421eefdf5165e",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-diffusion-1999"),
+    pytest.param(["pstar", "--primes", "500..1999", "--ordering", "modulo"], 0,
+                 "c5bc0075e9afa08af8794e48ec9efbbe831c87ab7227688a19e5508d14ad0fc3",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                 id="pstar-modulo-1999"),
     pytest.param(["family", "--p", "509", "--ordering", "diffusion", "--set", "natural", "--m", "256", "--k", "5"], 0,
                  "0392d8988902e4cede623ed72f3135f5cc4f85a2c56ddc28c2e13d5b96fe58ef",
                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

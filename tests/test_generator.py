@@ -23,8 +23,8 @@ from mecforge.mec import CurveClass, MordellCurve, representative
 from mecforge.ordering import Ordering
 
 from conftest import SMALL_ADMISSIBLE
-from oracles import (count_complete_sets_exhaustive, pstar_direct, rep_and_param, sbox_transport,
-                     sbox_trial_loop, sprn_trial_loop)
+from oracles import (count_complete_sets_exhaustive, natural_tables, pstar_direct, rep_and_param,
+                     sbox_transport, sbox_trial_loop, sprn_trial_loop)
 
 ALL_ORDERINGS = list(Ordering)
 
@@ -350,7 +350,7 @@ def test_single_curve_paths_build_no_table(monkeypatch, capsys):
 
 
 def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
-    """pstar takes one pass, at twice the least m with m! >= p - 1 or at
+    """pstar takes one pass, at two above the least m with m! >= p - 1 or at
     p - 1 if that is less, for every admissible p in 5..499 under each
     ordering; a family takes one, of any b-list."""
     passes = []
@@ -360,13 +360,14 @@ def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
         return ordering._curve_orders(modulus, kind, ys, m)
     monkeypatch.setattr(generator, "_curve_orders", count)
     assert pstar(PrimeModulus(53), Ordering.NATURAL) == pstar_direct(53, Ordering.NATURAL)
-    assert passes == [(53, 10)]  # 4! < 52 <= 5!
+    assert passes == [(53, 7)]  # 4! < 52 <= 5!
     for kind in ALL_ORDERINGS:
         for p in range(5, 500):
             if is_prime(p) and p % 3 == 2:
                 passes.clear()
                 pstar(PrimeModulus(p), kind)
-                assert len(passes) == 1, (p, kind, passes)
+                low = next(m for m in range(1, p) if math.factorial(m) >= p - 1)
+                assert passes == [(p, min(low + 2, p - 1))], (p, kind, passes)
     passes.clear()
     modulus = PrimeModulus(101)
     result = enumerate_family(modulus, Ordering.MODULO, CompleteSet.natural(13, modulus), 4,
@@ -379,10 +380,10 @@ def test_exhaustive_paths_build_one_table_per_call(monkeypatch):
 
 @pytest.mark.parametrize("p", [29, 53])
 @pytest.mark.parametrize("kind", ALL_ORDERINGS, ids=lambda kind: kind.value)
-def test_pstar_doubles_its_pass_while_the_curves_collide(monkeypatch, p, kind):
-    """With the pigeonhole floor forced down to m = 1, pstar passes at
-    m = 2, 4, 8, ... until the curves differ, and still finds p*; if they
-    collide even at p - 1, the last pass is at p - 1 and p* is p - 1."""
+def test_pstar_splits_the_curves_that_agree_at_its_pass(monkeypatch, p, kind):
+    """With the pigeonhole floor forced down to m = 1, pstar still takes one
+    pass, at m = 3, where nearly every curve agrees with another, and finds
+    p* by splitting them size by size."""
     passes = []
 
     def count(modulus, kind, ys, m):
@@ -390,18 +391,45 @@ def test_pstar_doubles_its_pass_while_the_curves_collide(monkeypatch, p, kind):
         return ordering._curve_orders(modulus, kind, ys, m)
     monkeypatch.setattr(generator, "_curve_orders", count)
     monkeypatch.setattr(generator.math, "factorial", lambda m: p)  # every m! >= p - 1
-    p_star = pstar(PrimeModulus(p), kind)
-    assert p_star == pstar_direct(p, kind)
-    assert passes == [2 ** i for i in range(1, len(passes) + 1)]
-    assert passes[-2] <= p_star < passes[-1]
+    assert pstar(PrimeModulus(p), kind) == pstar_direct(p, kind)
+    assert passes == [3]
 
-    def collide(modulus, kind, ys, m):  # every curve orders [0, m-1] alike
-        passes.append(m)
-        return [list(range(m)) for _ in range(p)]
-    passes.clear()
-    monkeypatch.setattr(generator, "_curve_orders", collide)
-    assert pstar(PrimeModulus(p), kind) == p - 1
-    assert passes == [2 ** i for i in range(1, p.bit_length())] + [p - 1]
+
+@pytest.mark.parametrize("p", [29, 53])
+def test_pstar_is_p_minus_1_while_two_curves_agree(monkeypatch, p):
+    """If every curve orders [0, m-1] alike at every m, both at the pass and
+    split by split, p* is p - 1, the largest size there is."""
+    monkeypatch.setattr(generator, "_curve_orders",
+                        lambda modulus, kind, ys, m: [list(range(m)) for _ in range(p)])
+    monkeypatch.setattr(generator, "rank_of_y", lambda kind, curve, ys: list(ys))
+    assert pstar(PrimeModulus(p), Ordering.NATURAL) == p - 1
+
+
+# Primes in 11..499 where some curves still agree at pstar's pass, under each
+# ordering: the least, the first with the largest p*, and the greatest.
+SPLIT_CASES = [(p, kind) for kind, primes in ((Ordering.NATURAL, (113, 293, 491)),
+                                              (Ordering.DIFFUSION, (41, 293, 491)),
+                                              (Ordering.MODULO, (71, 443, 491)))
+               for p in primes]
+
+
+@pytest.mark.parametrize("p, kind", SPLIT_CASES, ids=[f"{p}-{kind.value}" for p, kind in SPLIT_CASES])
+def test_pstar_split_matches_tables_from_cube_roots(monkeypatch, p, kind):
+    """Where curves still agree at the pass, the split finds p*: two curves'
+    tables, built from a table of all cubes, agree at p* and none at p* + 1.
+    Agreement only shrinks as m grows, so this pins p* exactly."""
+    calls = []
+
+    def count(kind, curve, ys):
+        calls.append(len(ys))
+        return ordering.rank_of_y(kind, curve, ys)
+    monkeypatch.setattr(generator, "rank_of_y", count)
+    p_star = pstar(PrimeModulus(p), kind)
+    low = next(m for m in range(1, p) if math.factorial(m) >= p - 1)
+    assert len(set(natural_tables(p, kind, low + 2))) < p - 1  # curves agree at the pass
+    assert calls and min(calls) == low + 3  # so the split ran, from the size above it
+    assert len(set(natural_tables(p, kind, p_star))) < p - 1
+    assert len(set(natural_tables(p, kind, p_star + 1))) == p - 1
 
 
 @pytest.mark.parametrize("b_values", [[0], [-1], [11], [1, 2, 0, 3], [2, 11, -1]],
