@@ -40,10 +40,10 @@ EXIT_UNSUPPORTED_METRIC = NotPowerOfTwo.exit_code
 EXIT_RANGE_TOO_LARGE = TooLarge.exit_code
 
 # gen-prn --A full and gen-sbox --set natural order up to this many ys.  At
-# p = 1048571 the walk over x of --A full and of --set natural --m p peaks
-# at up to about 172 bytes of RSS per y (diffusion and modulo), but an m
-# below p/5 keeps the lookups and their tuples, about 217 bytes per y: about
-# 0.9 GB here.
+# p = 1048571, peak RSS above the import per y: 83 bytes (natural) and 137
+# (diffusion, modulo) for --A full; up to about 190 for --set natural --m p,
+# which also validates and writes its table, and about 170 for an m just
+# below p/5, which looks its points up.  So at most about 0.8 GB here.
 MAX_ORDERED_YS = 1 << 22
 # family --correlation multiplies m entries for each of the (p-1)(p-2)/2
 # pairs of S-boxes, about 70 ns a product (CPython 3.11, one core of a
@@ -124,8 +124,9 @@ def parse_sbox(text: str) -> SBox:
         payload = json.loads(text)
         table, prov = payload["table"], payload.get("provenance", {})
         if not (isinstance(table, list) and all(type(v) is int for v in table)
-                and isinstance(prov, dict)):
-            raise MecforgeError("JSON needs an integer list 'table' and an object 'provenance'")
+                and type(payload.get("m", 0)) is int and isinstance(prov, dict)):
+            raise MecforgeError("JSON needs an integer list 'table', an integer 'm' if any,"
+                                " and an object 'provenance'")
         return SBox(tuple(table), payload.get("m", len(table)), tuple(sorted(prov.items())))
     if "," in text or len(text) == 1:  # hex has at least 2 digits: 1 is m = 1's CSV
         table = _integers(t.strip() for t in text.replace("\n", ",").split(","))

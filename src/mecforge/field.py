@@ -5,6 +5,8 @@ canonical residues in [0, p-1]; all operations are pure.  Cube roots, which
 exist uniquely exactly when p = 2 (mod 3), are taken in `mec.points`.
 """
 
+import math
+
 from .errors import MecforgeError
 from .record import Record
 
@@ -13,7 +15,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a witness set that is deterministic below 2^64."""
+    """Miller-Rabin with a witness set that is deterministic below 2^64.
+    Above 2^64 some composites pass all 12 bases, so a strong Lucas test
+    follows them there: with base 2 among them, that is the Baillie-PSW
+    test, which no composite is known to pass."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -33,7 +38,52 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < 1 << 64 or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """The strong Lucas test of odd n > 2^64 with Selfridge's parameters:
+    D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d * 2^s, d odd, a prime n has U_d = 0 or
+    V_{d 2^r} = 0 (mod n) for some 0 <= r < s."""
+    if math.isqrt(n) ** 2 == n:  # a square has no such D
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -2 - D if D > 0 else 2 - D
+    if j == 0:  # n > |D| shares a factor with D
+        return False
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    u, v, qk = 1, 1, Q % n  # U_1, V_1 and Q^1; the index runs over d's bits
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n  # index doubled
+        if bit == "1":  # index + 1
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 class PrimeModulus(Record):

@@ -14,8 +14,9 @@ The pass hands back each curve's ys already reduced mod m, so a family's
 table is one rotation of its curve's row.  `pstar` reads every size below
 its pass off the same rows, and orders only the few curves that still agree
 at the pass one by one at each size above it.  A table built from a
-validated complete set is a permutation by construction, so `_sbox` skips
-the permutation check that `SBox(...)` runs on a table read from outside.
+validated complete set is a permutation by construction, so `_sbox`, which
+makes every generated S-box from its p, b, parameters and table, skips the
+permutation check that `SBox(...)` runs on a table read from outside.
 """
 
 import math
@@ -81,19 +82,6 @@ class SBox(Record):
             raise MecforgeError("S-box table is not a permutation of [0, m-1] with m >= 1")
         super().__init__(table, m, provenance)
 
-    @classmethod
-    def _of_permutation(cls, table: tuple[int, ...], m: int, provenance: Provenance) -> "SBox":
-        """The S-box `SBox(table, m, provenance)` gives, without the sort that
-        checks it: for a table that is a permutation of [0, m-1] by
-        construction, as every reordering of a validated complete set's
-        residues is.  A family builds one per curve, so the fields are set
-        here directly."""
-        box = object.__new__(cls)
-        object.__setattr__(box, "table", table)
-        object.__setattr__(box, "m", m)
-        object.__setattr__(box, "provenance", provenance)
-        return box
-
     def provenance_dict(self) -> dict:
         return dict(self.provenance)
 
@@ -121,23 +109,24 @@ def _shift_reduce(ordered: list[int], m: int, k: int) -> tuple[int, ...]:
     return tuple(y % m for y in ordered[k:] + ordered[:k])
 
 
-def _sbox(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int,
-          table: tuple[int, ...] | None = None) -> SBox:
-    """The one S-box construction: each residue of [0, m-1] takes the curve
-    position of the set element congruent to it, and the table is shifted by k.
-    A family pass hands in the table it has already built from the curve's row."""
-    m = complete_set.m
-    if table is None:
-        table = _shift_reduce(rank_of_y(kind, curve, complete_set.elements), m, k)
-    prov = (("p", curve.p), ("b", curve.b), ("ordering", kind.value),
-            ("set", "explicit"), ("m", m), ("k", k))
-    return SBox._of_permutation(table, m, prov)
+def _sbox(p: int, b: int, kind: Ordering, m: int, k: int, table: tuple[int, ...]) -> SBox:
+    """The S-box of E_{p, b} with this table, as `SBox(...)` gives it but with
+    no sort to check the table: a family builds one per curve."""
+    box = object.__new__(SBox)
+    object.__setattr__(box, "table", table)
+    object.__setattr__(box, "m", m)
+    object.__setattr__(box, "provenance", (("p", p), ("b", b), ("ordering", kind.value),
+                                           ("set", "explicit"), ("m", m), ("k", k)))
+    return box
 
 
 def sbox_direct(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
-    """S-box from the ordered complete set on the target curve itself."""
-    _check_shift(k, complete_set.m)
-    return _sbox(curve, kind, complete_set, k)
+    """S-box from the ordered complete set on the target curve itself: each
+    residue takes its element's curve position, and the table is shifted by k."""
+    m = complete_set.m
+    _check_shift(k, m)
+    table = _shift_reduce(rank_of_y(kind, curve, complete_set.elements), m, k)
+    return _sbox(curve.p, curve.b, kind, m, k, table)
 
 
 def sbox_iso(rep_curve: MordellCurve, t_inv: int, kind: Ordering,
@@ -146,7 +135,7 @@ def sbox_iso(rep_curve: MordellCurve, t_inv: int, kind: Ordering,
     E_{p, b} under the parameter t = t_inv^-1.  Its table is the direct
     S-box of that curve."""
     _check_shift(k, complete_set.m)
-    return _sbox(rep_curve.isomorphic(rep_curve.modulus.inverse(t_inv)), kind, complete_set, k)
+    return sbox_direct(rep_curve.isomorphic(rep_curve.modulus.inverse(t_inv)), kind, complete_set, k)
 
 
 def sprn(curve: MordellCurve, kind: Ordering, y_set: Iterable[int], m: int, k: int) -> SprnSequence:
@@ -267,12 +256,12 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
     """
     _check_shift(k, complete_set.m)
     _check_admissible(modulus)
-    p = modulus.p
+    p, m = modulus.p, complete_set.m
     b_values = list(b_values)
     for b in b_values:
         _check_b(b, p)
-    family = _curve_orders(modulus, kind, complete_set.elements, complete_set.m)
+    family = _curve_orders(modulus, kind, complete_set.elements, m)
     for b in range(1, p):
         row = family[b]
-        family[b] = _sbox(MordellCurve(modulus, b), kind, complete_set, k, tuple(row[k:] + row[:k]))
+        family[b] = _sbox(p, b, kind, m, k, tuple(row[k:] + row[:k]))
     return FamilyResult([family[b] for b in b_values], [])

@@ -565,6 +565,7 @@ def test_invalid_parameters_exit_2(capsys, argv, message):
     ("sbox", '{"table": [1, "a"]}'),
     ("sbox", '{"table": [1.0, 0.0]}'),
     ("sbox", '{"table": [0, 1], "m": "2"}'),
+    ("sbox", '{"table": [0], "m": true}'),
     ("sbox", '{"table": [1, 0], "provenance": 5}'),
     ("sbox", '{"table": []}'),
     ("sbox", " , "),
@@ -577,9 +578,10 @@ def test_invalid_parameters_exit_2(capsys, argv, message):
     ("prn", '{"values": ' + "[" * 100000),
 ], ids=["prn-csv-letters", "prn-json-no-values", "prn-json-broken", "prn-json-scalar",
         "prn-json-non-integers", "sbox-json-string-entry", "sbox-json-float-entries",
-        "sbox-json-string-m", "sbox-json-scalar-provenance", "sbox-json-empty", "sbox-csv-blank",
-        "sbox-csv-underscore", "sbox-csv-arabic-indic", "sbox-csv-empty-field", "prn-csv-signs",
-        "prn-json-negative", "sbox-json-m-not-table-size", "prn-json-nested-too-deep"])
+        "sbox-json-string-m", "sbox-json-boolean-m", "sbox-json-scalar-provenance",
+        "sbox-json-empty", "sbox-csv-blank", "sbox-csv-underscore", "sbox-csv-arabic-indic",
+        "sbox-csv-empty-field", "prn-csv-signs", "prn-json-negative", "sbox-json-m-not-table-size",
+        "prn-json-nested-too-deep"])
 def test_malformed_analyze_input_exits_2(capsys, tmp_path, kind, text):
     in_file = tmp_path / "input.txt"
     in_file.write_text(text)

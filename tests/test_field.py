@@ -1,9 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecforge.errors import MecforgeError
-from mecforge.field import PrimeModulus, is_prime
+from mecforge.field import PrimeModulus, _is_strong_lucas_prp, _jacobi, is_prime
 from mecforge.mec import MordellCurve, points
 
 from conftest import SMALL_ADMISSIBLE
@@ -34,6 +36,42 @@ def test_is_prime_samples():
     assert not is_prime(52511 * 3)
     # strong-pseudoprime classic
     assert not is_prime(3215031751)
+
+
+@pytest.mark.parametrize("n", [
+    318665857834031151167461,  # 399165290221 * 798330580441
+    3317044064679887385961981,
+])
+def test_is_prime_refuses_strong_pseudoprimes_above_2_64(n):
+    """Composites that pass Miller-Rabin to every base from 2 to 37: the
+    strong Lucas test above 2^64 refuses them, and so does PrimeModulus."""
+    assert not is_prime(n)
+    with pytest.raises(MecforgeError, match="is not an odd prime"):
+        PrimeModulus(n)
+
+
+def test_is_prime_accepts_primes_above_2_64():
+    """2^64 + 37 passes the strong Lucas test on U_d = 0 alone, the
+    Mersenne primes (d = 1) only on some V_{d 2^r} = 0 with r > 0."""
+    for n in (2**64 + 13, 2**64 + 37, 2**89 - 1, 2**127 - 1):
+        assert is_prime(n)
+    assert PrimeModulus(2**64 + 13).mec_admissible
+
+
+def test_strong_lucas_refuses_a_square_and_a_multiple_of_d():
+    """Composites that Miller-Rabin refuses first, given to the Lucas test
+    alone: a square has no D with (D/n) = -1, and 5n shares D = 5."""
+    p = 2**64 + 13
+    assert not _is_strong_lucas_prp(p * p)
+    assert not _is_strong_lucas_prp(5 * p)
+
+
+@pytest.mark.parametrize("factors", [(3,), (7,), (3, 5), (3, 3, 7), (5, 11, 13)])
+def test_jacobi_is_the_product_of_legendre_symbols(factors):
+    n = math.prod(factors)
+    for a in range(-n, 2 * n):
+        legendre = [pow(a, (q - 1) // 2, q) for q in factors]  # 0, 1 or q - 1
+        assert _jacobi(a, n) == math.prod(v if v < 2 else -1 for v in legendre)
 
 
 def test_mod_inverse():

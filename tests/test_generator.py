@@ -432,6 +432,24 @@ def test_pstar_split_matches_tables_from_cube_roots(monkeypatch, p, kind):
     assert len(set(natural_tables(p, kind, p_star + 1))) == p - 1
 
 
+@pytest.mark.parametrize("kind", ALL_ORDERINGS, ids=lambda kind: kind.value)
+def test_pstar_first_exceeds_12_at_10463(kind):
+    """p* <= 12 holds for every admissible p below 10463 and fails there:
+    under each ordering, E_{10463, 1279} and E_{10463, 3437} emit the same
+    natural S-box at m = 13, no other two curves do, and they differ at 14."""
+    modulus = PrimeModulus(10463)
+    assert pstar(modulus, kind, 10463) == 13
+    curves = [MordellCurve(modulus, b) for b in (1279, 3437)]
+    for m, agree in ((13, True), (14, False)):
+        tables = [sbox_direct(c, kind, CompleteSet.natural(m, modulus), 0).table for c in curves]
+        assert (tables[0] == tables[1]) is agree
+    family = enumerate_family(modulus, kind, CompleteSet.natural(13, modulus), 0, range(1, 10463))
+    curves_of = {}
+    for b, sbox in enumerate(family.sboxes, 1):
+        curves_of.setdefault(sbox.table, []).append(b)
+    assert [bs for bs in curves_of.values() if len(bs) > 1] == [[1279, 3437]]
+
+
 @pytest.mark.parametrize("b_values", [[0], [-1], [11], [1, 2, 0, 3], [2, 11, -1]],
                          ids=["zero", "negative", "p", "mixed", "mixed-bad-last"])
 def test_family_refuses_a_bad_b_before_the_pass(monkeypatch, mod11, b_values):
