@@ -213,7 +213,7 @@ def entropy(seq: SprnSequence | Sequence[int]) -> float:
     if not values:
         raise MecforgeError("entropy of an empty sequence")
     n = len(values)
-    return -sum(f / n * math.log2(f / n) for f in Counter(values).values())
+    return 0.0 - sum(f / n * math.log2(f / n) for f in Counter(values).values())  # +0.0, not -0.0
 
 
 def period(seq: SprnSequence | Sequence[int]) -> int:

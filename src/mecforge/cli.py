@@ -97,7 +97,11 @@ def write_output(text: str, out: str | None) -> None:
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise IOFailure(f"cannot write {out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise IOFailure(f"cannot write stdout: {exc}") from exc
 
 
 # --- S-box / sequence serialization ------------------------------------------
@@ -172,7 +176,7 @@ def parse_sequence(text: str) -> list[int]:
 # argparse reports a ValueError from these as "invalid <function name> value".
 
 def admissible(p: int) -> bool:
-    """p is an odd prime with p = 2 (mod 3), a modulus the curves accept."""
+    """pstar's range filter: p is an odd prime p = 2 (mod 3), one `PrimeModulus` accepts."""
     return p % 3 == 2 and p != 2 and is_prime(p)
 
 
@@ -182,16 +186,18 @@ def integer(text: str) -> int:
 
 def prime(text: str) -> PrimeModulus:
     p = integer(text)
-    if not admissible(p):
-        raise argparse.ArgumentTypeError("p must be prime with p = 2 (mod 3)")
-    return PrimeModulus(p)
+    try:
+        return PrimeModulus(p)
+    except MecforgeError:
+        raise argparse.ArgumentTypeError("p must be prime with p = 2 (mod 3)") from None
 
 
 def ordering(text: str) -> Ordering:
     try:
-        return Ordering.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(exc) from None
+        return Ordering(text.strip().lower())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown ordering {text!r}; "
+                                         "expected one of: natural, diffusion, modulo") from None
 
 
 def curve_class(text: str) -> CurveClass:

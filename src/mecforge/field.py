@@ -1,8 +1,10 @@
 """Arithmetic over the prime field F_p.
 
-Primality, inverses and quadratic-residue testing.  All values are
-canonical residues in [0, p-1]; all operations are pure.  Cube roots, which
-exist uniquely exactly when p = 2 (mod 3), are taken in `mec.points`.
+Primality, inverses and quadratic-residue testing.  A `PrimeModulus` is a
+prime p = 2 (mod 3), the only moduli the curves accept: it refuses any
+other p when it is made.  All values are canonical residues in [0, p-1];
+all operations are pure.  Cube roots, which exist uniquely exactly when
+p = 2 (mod 3), are taken in `mec.points`.
 """
 
 import math
@@ -87,19 +89,18 @@ def _is_strong_lucas_prp(n: int) -> bool:
 
 
 class PrimeModulus(Record):
-    """A validated odd prime modulus.
+    """A prime p = 2 (mod 3): a modulus over which the Mordell curve
+    y^2 = x^3 + b carries every residue exactly once as a y-coordinate.
+    Every instance is checked, so nothing that takes one checks p again."""
 
-    ``mec_admissible`` is true exactly when p = 2 (mod 3), the condition
-    under which the Mordell curve y^2 = x^3 + b carries every residue
-    exactly once as a y-coordinate.
-    """
-
-    __slots__ = ("p", "mec_admissible")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise MecforgeError(f"{p} is not an odd prime")
-        super().__init__(p, p % 3 == 2)
+        if p % 3 != 2:
+            raise MecforgeError(f"p = {p} is not admissible (need p = 2 mod 3, p > 3)")
+        super().__init__(p)
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.p:

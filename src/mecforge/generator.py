@@ -25,7 +25,7 @@ from collections.abc import Iterable
 
 from .errors import MecforgeError, TooLarge
 from .field import PrimeModulus
-from .mec import MordellCurve, _check_admissible, _check_b
+from .mec import MordellCurve, _check_b
 from .ordering import Ordering, _curve_orders, rank_of_y
 from .record import Record
 
@@ -195,7 +195,7 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
     """Largest m at which two distinct curves still emit the same natural S-box.
 
     Uses k = 0 and Y = [0, m-1].  Exhaustive over all p-1 curves, hence
-    guarded by ``max_p``; a p that carries no curve is refused after the guard.
+    guarded by ``max_p``.
 
     A table at size m is a permutation of [0, m-1], so below the floor, the
     least m with m! >= p - 1, two of the p - 1 curves must collide.  A table
@@ -212,7 +212,6 @@ def pstar(modulus: PrimeModulus, kind: Ordering, max_p: int = DEFAULT_MAX_PSTAR_
     p = modulus.p
     if p > max_p:
         raise TooLarge(f"p = {p} exceeds the exhaustive guard {max_p}")
-    _check_admissible(modulus)
     low = next(m for m in range(1, p) if math.factorial(m) >= p - 1)
     top = min(low + 2, p - 1)
     rows = _curve_orders(modulus, kind, range(top), top)[1:]
@@ -246,8 +245,8 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
                      b_values: Iterable[int]) -> FamilyResult:
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
-    A shift k outside [0, m-1], a p that carries no curve and a b outside
-    [1, p-1] are refused, with `MordellCurve`'s message, before the pass.
+    A shift k outside [0, m-1] and a b outside [1, p-1] are refused, the b
+    with `MordellCurve`'s message, before the pass.
     One pass over F_p x Y orders the complete set on every curve of p at
     once and reduces it mod m; each row becomes its curve's S-box, rotated
     by k, where it lies, so the rows are freed as the S-boxes are built.
@@ -255,7 +254,6 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
     pass; `sbox_direct` builds one.  A b named twice gets its S-box twice.
     """
     _check_shift(k, complete_set.m)
-    _check_admissible(modulus)
     p, m = modulus.p, complete_set.m
     b_values = list(b_values)
     for b in b_values:

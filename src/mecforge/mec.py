@@ -1,5 +1,6 @@
 """Mordell elliptic curves y^2 = x^3 + b over F_p with p = 2 (mod 3).
 
+Every `PrimeModulus` is such a prime, so a curve checks only its b.
 Because cubing is a bijection on F_p for such primes, every y in [0, p-1]
 appears exactly once as a y-coordinate, so the curve has exactly p affine
 points and point lookup by y-coordinate is a single cube root (`points`,
@@ -33,7 +34,6 @@ class MordellCurve(Record):
     __slots__ = ("modulus", "b")
 
     def __init__(self, modulus: PrimeModulus, b: int):
-        _check_admissible(modulus)
         _check_b(b, modulus.p)
         super().__init__(modulus, b)
 
@@ -44,11 +44,6 @@ class MordellCurve(Record):
     def isomorphic(self, t: int) -> "MordellCurve":
         """E_{p, t^6 b}, the curve that (x, y) -> (t^2 x, t^3 y) maps this E_{p, b} onto."""
         return MordellCurve(self.modulus, pow(t, 6, self.p) * self.b % self.p)
-
-
-def _check_admissible(modulus: PrimeModulus) -> None:
-    if not modulus.mec_admissible:
-        raise MecforgeError(f"p = {modulus.p} is not admissible (need p = 2 mod 3, p > 3)")
 
 
 def _check_b(b: int, p: int) -> None:

@@ -30,14 +30,6 @@ class Ordering(Enum):
     DIFFUSION = "diffusion"
     MODULO = "modulo"
 
-    @classmethod
-    def parse(cls, name: str) -> "Ordering":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(o.value for o in cls)
-            raise ValueError(f"unknown ordering {name!r}; expected one of: {valid}") from None
-
 
 # rank_of_y walks x when ys holds at least p/_WALK_DENSITY of the p ys, and
 # looks each y up otherwise.  The walk costs about p steps whatever |Y| is;

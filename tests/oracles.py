@@ -31,6 +31,11 @@ def brute_force_cube_roots(p: int) -> dict[int, int]:
     return {x * x * x % p: x for x in range(p)}
 
 
+def trial_division_prime(n: int) -> bool:
+    """n is prime: no d in [2, sqrt(n)] divides it."""
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
 def brute_force_squares(p: int) -> set[int]:
     return {x * x % p for x in range(1, p)}
 

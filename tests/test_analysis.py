@@ -257,6 +257,7 @@ def test_uniform_case_entropy():
 
 def test_entropy_bounds_and_examples():
     assert entropy([7] * 10) == 0
+    assert math.copysign(1, entropy([5] * 7)) == 1.0  # +0.0, which prints as 0.0
     assert entropy([0, 1, 0, 1]) == 1
     assert entropy(list(range(16))) == 4
     with pytest.raises(MecforgeError, match="entropy of an empty sequence"):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -151,6 +152,13 @@ def test_gen_sbox_rejects_bad_prime(capsys):
     code, _, err = run(capsys, "gen-sbox", "--p", "13", "--b", "1",
                        "--ordering", "natural", "--set", "natural", "--m", "8")
     assert code == EXIT_BAD_PARAMS
+    assert "p must be prime with p = 2 (mod 3)" in err
+
+
+@pytest.mark.parametrize("name, canonical", [("Diffusion", "diffusion"), ("MODULO", "modulo")])
+def test_ordering_names_fold_case(capsys, name, canonical):
+    argv = ["gen-sbox", "--p", "11", "--b", "1", "--set", "natural", "--m", "11", "--ordering"]
+    assert run(capsys, *argv, name) == run(capsys, *argv, canonical)
 
 
 def test_gen_sbox_rejects_conflicting_curve_flags(capsys):
@@ -378,6 +386,13 @@ def test_analyze_prn_kind(capsys, tmp_path):
         assert code == EXIT_OK
         reports.add(out)
     assert len(reports) == 1 and json.loads(out)["histogram"]["16"] == 1
+    # a constant sequence has entropy +0.0, which prints as 0.0, not -0.0
+    seq_file.write_text("0,0,0\n")
+    code, out, _ = run(capsys, "analyze", str(seq_file), "--kind", "prn")
+    assert code == EXIT_OK and '"entropy": 0.0,' in out
+    code, _, err = run(capsys, "gen-prn", "--p", "11", "--b", "1", "--ordering", "natural",
+                       "--A", "full", "--m", "1")
+    assert code == EXIT_OK and "entropy=0.0000" in err
 
 
 def test_analyze_two_entry_sbox(capsys, tmp_path):
@@ -544,11 +559,13 @@ def test_family_correlation_guard_is_checked_before_any_work(capsys, monkeypatch
      "argument --b: invalid integer value: '+1'"),
     (["gen-sbox", "--p", "11", "--b", "0", "--ordering", "natural", "--set", "natural",
       "--m", "11"], "b = 0 must lie in [1, p-1]"),
+    (["gen-sbox", "--p", "11", "--b", "1", "--ordering", "zigzag", "--set", "natural"],
+     "argument --ordering: unknown ordering 'zigzag'; expected one of: natural, diffusion, modulo"),
 ], ids=["non-integer-p", "count-m-zero", "sbox-k-too-large", "prn-k-too-large",
         "unknown-class", "natural-set-m-too-large", "family-k-too-large",
         "family-correlation-k-too-large", "family-correlation-m-1", "analyze-format",
         "family-format", "underscore-p", "m-beyond-bound", "non-ascii-m", "non-ascii-primes",
-        "signed-b", "b-zero"])
+        "signed-b", "b-zero", "unknown-ordering"])
 def test_invalid_parameters_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_PARAMS and out == ""
@@ -603,6 +620,28 @@ def test_undecodable_files_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, str(path))
     assert code == EXIT_BAD_PARAMS and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# --- an unwritable stdout exits 3, as an unwritable --out does ---------------
+
+class FullStream(io.StringIO):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--p", "263", "--m", "256"],
+    ["gen-prn", "--p", "11", "--b", "1", "--ordering", "natural", "--A", "full", "--m", "11"],
+], ids=["count", "gen-prn"])
+def test_unwritable_stdout_exits_3(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), mock.patch.object(sys, "stdout", FullStream()):
+        code = main(argv)
+    assert code == EXIT_IO and "Traceback" not in err.getvalue()
+    assert err.getvalue().splitlines()[-1] == \
+        f"error: cannot write stdout: [Errno {errno.ENOSPC}] No space left on device"
 
 
 # --- any flag values: an exit code of the contract, never a traceback -----------

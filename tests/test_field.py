@@ -9,6 +9,7 @@ from mecforge.field import PrimeModulus, _is_strong_lucas_prp, _jacobi, is_prime
 from mecforge.mec import MordellCurve, points
 
 from conftest import SMALL_ADMISSIBLE
+from oracles import trial_division_prime
 
 admissible = st.sampled_from(SMALL_ADMISSIBLE)
 
@@ -24,11 +25,19 @@ def test_primality_validation():
         PrimeModulus(2)  # even
 
 
-def test_admissibility_flag():
-    assert PrimeModulus(11).mec_admissible
-    assert PrimeModulus(52511).mec_admissible
-    assert not PrimeModulus(7).mec_admissible
-    assert not PrimeModulus(13).mec_admissible
+def test_prime_modulus_matches_the_oracle():
+    """PrimeModulus(n) is made exactly for the primes n > 3 with n = 2 (mod 3),
+    and a refusal names the first rule n breaks: odd prime, then admissible."""
+    for n in range(-5, 2000):
+        if trial_division_prime(n) and n > 3 and n % 3 == 2:
+            assert PrimeModulus(n).p == n
+            continue
+        with pytest.raises(MecforgeError) as caught:
+            PrimeModulus(n)
+        if n > 2 and trial_division_prime(n):
+            assert str(caught.value) == f"p = {n} is not admissible (need p = 2 mod 3, p > 3)"
+        else:
+            assert str(caught.value) == f"{n} is not an odd prime"
 
 
 def test_is_prime_samples():
@@ -55,7 +64,7 @@ def test_is_prime_accepts_primes_above_2_64():
     Mersenne primes (d = 1) only on some V_{d 2^r} = 0 with r > 0."""
     for n in (2**64 + 13, 2**64 + 37, 2**89 - 1, 2**127 - 1):
         assert is_prime(n)
-    assert PrimeModulus(2**64 + 13).mec_admissible
+    assert PrimeModulus(2**64 + 13).p == 2**64 + 13  # 2 mod 3
 
 
 def test_strong_lucas_refuses_a_square_and_a_multiple_of_d():
@@ -100,9 +109,10 @@ def test_qr_count_is_half(p):
 
 
 def test_smallest_qnr():
+    assert PrimeModulus(5).smallest_qnr() == 2
     assert PrimeModulus(11).smallest_qnr() == 2
-    assert PrimeModulus(7).smallest_qnr() == 3
-    assert PrimeModulus(3).smallest_qnr() == 2
+    assert PrimeModulus(17).smallest_qnr() == 3
+    assert PrimeModulus(23).smallest_qnr() == 5
 
 
 def test_cube_root_examples():

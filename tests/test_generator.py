@@ -279,26 +279,6 @@ def test_pstar_guard():
         pstar(PrimeModulus(52511), Ordering.NATURAL)
 
 
-@pytest.mark.parametrize("p, max_p", [(7, 2000), (4999, 5000)])
-def test_pstar_refuses_an_inadmissible_modulus(p, max_p):
-    """A p = 1 mod 3 carries no curve of the package: refused as invalid input,
-    not left to overrun the pass's rows."""
-    with pytest.raises(MecforgeError) as caught:
-        pstar(PrimeModulus(p), Ordering.NATURAL, max_p)
-    assert type(caught.value) is MecforgeError
-    assert str(caught.value) == f"p = {p} is not admissible (need p = 2 mod 3, p > 3)"
-
-
-@pytest.mark.parametrize("p, b_values", [(7, [1, 2, 3]), (7, range(1, 7)), (13, [1])],
-                         ids=["one-pass", "all-b", "one-b"])
-def test_family_refuses_an_inadmissible_modulus(p, b_values):
-    modulus = PrimeModulus(p)
-    with pytest.raises(MecforgeError) as caught:
-        enumerate_family(modulus, Ordering.NATURAL, CompleteSet.natural(p, modulus), 0, b_values)
-    assert type(caught.value) is MecforgeError
-    assert str(caught.value) == f"p = {p} is not admissible (need p = 2 mod 3, p > 3)"
-
-
 def test_family_over_all_b(mod11):
     cs = CompleteSet.natural(11, mod11)
     result = enumerate_family(mod11, Ordering.NATURAL, cs, 0, b_values=range(1, 11))

@@ -17,14 +17,6 @@ from oracles import brute_force_points, ordering_key
 ALL_ORDERINGS = list(Ordering)
 
 
-def test_parse_names():
-    assert Ordering.parse("natural") is Ordering.NATURAL
-    assert Ordering.parse("Diffusion") is Ordering.DIFFUSION
-    assert Ordering.parse("MODULO") is Ordering.MODULO
-    with pytest.raises(ValueError):
-        Ordering.parse("zigzag")
-
-
 def test_compare_examples(curve_11_1):
     # natural: (0, 1) < (0, 10); diffusion: (10, 0) < (9, 2); modulo: (9, 2) < (0, 1)
     for kind, first, second in [(Ordering.NATURAL, 1, 10),

@@ -80,7 +80,7 @@ def test_records_differ_by_field_and_by_class():
 
 def test_record_repr_names_every_field():
     assert repr(MordellCurve(MOD, 3)) == \
-        "MordellCurve(modulus=PrimeModulus(p=11, mec_admissible=True), b=3)"
+        "MordellCurve(modulus=PrimeModulus(p=11), b=3)"
     assert repr(SBox((1, 0), 2)) == "SBox(table=(1, 0), m=2, provenance=())"
 
 
@@ -92,9 +92,10 @@ REFUSED = [
     (lambda: PrimeModulus(-7), "-7 is not an odd prime"),
     (lambda: PrimeModulus(9), "9 is not an odd prime"),
     (lambda: PrimeModulus(561), "561 is not an odd prime"),  # a Carmichael number
-    (lambda: MordellCurve(PrimeModulus(7), 1), "p = 7 is not admissible (need p = 2 mod 3, p > 3)"),
-    (lambda: MordellCurve(PrimeModulus(3), 1), "p = 3 is not admissible (need p = 2 mod 3, p > 3)"),
-    (lambda: MordellCurve(PrimeModulus(7), 0), "p = 7 is not admissible (need p = 2 mod 3, p > 3)"),
+    (lambda: PrimeModulus(3), "p = 3 is not admissible (need p = 2 mod 3, p > 3)"),
+    (lambda: PrimeModulus(7), "p = 7 is not admissible (need p = 2 mod 3, p > 3)"),
+    (lambda: PrimeModulus(13), "p = 13 is not admissible (need p = 2 mod 3, p > 3)"),
+    (lambda: PrimeModulus(4999), "p = 4999 is not admissible (need p = 2 mod 3, p > 3)"),
     (lambda: MordellCurve(MOD, 0), "b = 0 must lie in [1, p-1]"),
     (lambda: MordellCurve(MOD, 11), "b = 11 must lie in [1, p-1]"),
     (lambda: MordellCurve(MOD, -1), "b = -1 must lie in [1, p-1]"),
