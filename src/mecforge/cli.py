@@ -13,12 +13,13 @@ in a flag or a file, is ASCII digits (hex in hex formats): no sign, '_' or gap.
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Sequence
 
 from . import analysis, data
 from .errors import IOFailure, MecforgeError, NotPowerOfTwo, TooLarge
-from .field import PrimeModulus, is_prime
+from .field import PrimeModulus
 from .generator import (
     DEFAULT_MAX_PSTAR_P,
     CompleteSet,
@@ -100,7 +101,8 @@ def write_output(text: str, out: str | None) -> None:
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
-        except OSError as exc:
+        except OSError as exc:  # the buffer keeps the text: the exit flush writes it to /dev/null
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise IOFailure(f"cannot write stdout: {exc}") from exc
 
 
@@ -175,9 +177,12 @@ def parse_sequence(text: str) -> list[int]:
 # --- flag types ----------------------------------------------------------------
 # argparse reports a ValueError from these as "invalid <function name> value".
 
-def admissible(p: int) -> bool:
-    """pstar's range filter: p is an odd prime p = 2 (mod 3), one `PrimeModulus` accepts."""
-    return p % 3 == 2 and p != 2 and is_prime(p)
+def admissible(p: int) -> PrimeModulus | None:
+    """The modulus of p, or None if `PrimeModulus` refuses p: --p and pstar's range filter."""
+    try:
+        return PrimeModulus(p)
+    except MecforgeError:
+        return None
 
 
 def integer(text: str) -> int:
@@ -185,11 +190,10 @@ def integer(text: str) -> int:
 
 
 def prime(text: str) -> PrimeModulus:
-    p = integer(text)
-    try:
-        return PrimeModulus(p)
-    except MecforgeError:
-        raise argparse.ArgumentTypeError("p must be prime with p = 2 (mod 3)") from None
+    modulus = admissible(integer(text))
+    if modulus is None:
+        raise argparse.ArgumentTypeError("p must be prime with p = 2 (mod 3)")
+    return modulus
 
 
 def ordering(text: str) -> Ordering:
@@ -352,8 +356,8 @@ def cmd_pstar(args) -> int:
     top = next((p for p in reversed(args.primes) if admissible(p)), None)
     if top is not None and top > args.max_p:
         raise TooLarge(f"p = {top} exceeds the exhaustive guard {args.max_p}")
-    rows = [{"p": p, "pstar": pstar(PrimeModulus(p), args.ordering, args.max_p)}
-            for p in args.primes if admissible(p)]
+    rows = [{"p": modulus.p, "pstar": pstar(modulus, args.ordering, args.max_p)}
+            for modulus in map(admissible, args.primes) if modulus]
     write_output(json.dumps(rows, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -3,6 +3,9 @@ import errno
 import gc
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -29,6 +32,9 @@ from mecforge.cli import (
 )
 from mecforge.errors import MecforgeError
 from mecforge.generator import SBox, SprnSequence
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -625,23 +631,55 @@ def test_undecodable_files_exit_2(capsys, tmp_path, argv):
 # --- an unwritable stdout exits 3, as an unwritable --out does ---------------
 
 class FullStream(io.StringIO):
-    """A stdout on a full disk."""
+    """A stdout on a full disk, over the file descriptor `fd`."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
 
     def write(self, text):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-@pytest.mark.parametrize("argv", [
+UNWRITABLE_STDOUT = [
     ["count", "--p", "263", "--m", "256"],
     ["gen-prn", "--p", "11", "--b", "1", "--ordering", "natural", "--A", "full", "--m", "11"],
-], ids=["count", "gen-prn"])
-def test_unwritable_stdout_exits_3(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), mock.patch.object(sys, "stdout", FullStream()):
-        code = main(argv)
+]
+STDOUT_FULL = f"error: cannot write stdout: [Errno {errno.ENOSPC}] No space left on device"
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT, ids=["count", "gen-prn"])
+def test_unwritable_stdout_exits_3(argv, tmp_path):
+    """The refused stdout is pointed at the null device, so that the flush at
+    interpreter exit cannot fail a second time."""
+    err, fd = io.StringIO(), os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        with contextlib.redirect_stderr(err), mock.patch.object(sys, "stdout", FullStream(fd)):
+            code = main(argv)
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
     assert code == EXIT_IO and "Traceback" not in err.getvalue()
-    assert err.getvalue().splitlines()[-1] == \
-        f"error: cannot write stdout: [Errno {errno.ENOSPC}] No space left on device"
+    assert err.getvalue().splitlines()[-1] == STDOUT_FULL
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT, ids=["count", "gen-prn"])
+def test_stdout_on_dev_full_exits_3(argv):
+    """The whole process, with stdout block-buffered as in a default
+    environment: the output fits the buffer, so the first write fails only
+    at the explicit flush, and the exit flush must not fail again."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "mecforge.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == EXIT_IO
+    errors = [line for line in done.stderr.splitlines() if not line.startswith("prn ")]
+    assert errors == [STDOUT_FULL]
 
 
 # --- any flag values: an exit code of the contract, never a traceback -----------

@@ -121,8 +121,6 @@ def test_cube_root_examples():
     assert list(points(MordellCurve(m, 3), [0])) == [(2, 0)]  # cbrt(8) = 2
     assert list(points(MordellCurve(m, 10), [0])) == [(1, 0)]  # cbrt(1) = 1
     assert list(points(MordellCurve(m, 1), [0])) == [(10, 0)]  # 10^3 = 1000 = 10 (mod 11)
-    with pytest.raises(MecforgeError, match="p = 7 is not admissible"):
-        MordellCurve(PrimeModulus(7), 4)  # p = 1 (mod 3): cubing is not a bijection
 
 
 @given(admissible, st.integers(1, 10 ** 6))

@@ -26,14 +26,9 @@ def on_curve(p: int, b: int, point: tuple[int, int]) -> bool:
 def test_curve_validation(mod11):
     with pytest.raises(ValueError):
         MordellCurve(mod11, 0)
-    with pytest.raises(ValueError, match="p = 7 is not admissible"):
-        MordellCurve(PrimeModulus(7), 1)  # p = 1 (mod 3): cubing is not a bijection
-    # both are package errors as well, so the CLI maps them to exit 2
-    with pytest.raises(MecforgeError, match=r"b = 11 must lie in \[1, p-1\]") as bad_b:
+    # a package error as well, so the CLI maps it to exit 2
+    with pytest.raises(MecforgeError, match=r"b = 11 must lie in \[1, p-1\]"):
         MordellCurve(mod11, 11)
-    with pytest.raises(MecforgeError, match="p = 13 is not admissible") as bad_p:
-        MordellCurve(PrimeModulus(13), 1)
-    assert isinstance(bad_b.value, MecforgeError) and isinstance(bad_p.value, MecforgeError)
 
 
 def test_x_for_y_examples(curve_11_1):
