@@ -284,17 +284,16 @@ def resolve_complete_set(args) -> CompleteSet:
 
 # --- commands ------------------------------------------------------------------
 
-def cmd_gen_sbox(args) -> int:
+def cmd_gen_sbox(args) -> tuple[str, int]:
     complete_set = resolve_complete_set(args)
     curve = resolve_curve(args)
     sbox = sbox_direct(curve, args.ordering, complete_set, args.k)
     print(f"sbox p={curve.p} b={curve.b} ordering={args.ordering.value} m={sbox.m} k={args.k}",
           file=sys.stderr)
-    write_output(format_sbox(sbox, args.format), args.out)
-    return EXIT_OK
+    return format_sbox(sbox, args.format), EXIT_OK
 
 
-def cmd_gen_prn(args) -> int:
+def cmd_gen_prn(args) -> tuple[str, int]:
     curve = resolve_curve(args)
     if args.A == "full":
         if curve.p > MAX_ORDERED_YS:
@@ -306,11 +305,10 @@ def cmd_gen_prn(args) -> int:
     print(f"prn p={curve.p} b={curve.b} ordering={args.ordering.value} "
           f"|A|={len(seq.values)} m={seq.m} k={args.k} entropy={analysis.entropy(seq):.4f}",
           file=sys.stderr)
-    write_output(format_sequence(seq, args.format), args.out)
-    return EXIT_OK
+    return format_sequence(seq, args.format), EXIT_OK
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[str, int]:
     text = data.read("aes_sbox.txt") if args.input == "aes" else read_text(args.input)
     name, parse = ("sequence", parse_sequence) if args.kind == "prn" else ("S-box", parse_sbox)
     try:
@@ -327,8 +325,7 @@ def cmd_analyze(args) -> int:
             "period": analysis.period(values),
             "histogram": {str(k): v for k, v in sorted(hist.frequencies.items())},
         }
-        write_output(json.dumps(payload, indent=2) + "\n", args.out)
-        return EXIT_OK
+        return json.dumps(payload, indent=2) + "\n", EXIT_OK
     try:
         report = analysis.analyze_sbox(sbox)
         body = report.to_json(indent=2)
@@ -340,29 +337,26 @@ def cmd_analyze(args) -> int:
             "fixed_points": analysis.fixed_points(sbox),
         }, indent=2)
         unsupported = True
-    write_output(body + "\n", args.out)
-    return EXIT_UNSUPPORTED_METRIC if unsupported else EXIT_OK
+    return body + "\n", EXIT_UNSUPPORTED_METRIC if unsupported else EXIT_OK
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[str, int]:
     per_k, total = count_sboxes(args.modulus.p, args.m)
-    write_output(json.dumps({"p": args.modulus.p, "m": args.m,
-                             "per_k": per_k, "total": total}) + "\n", args.out)
-    return EXIT_OK
+    payload = {"p": args.modulus.p, "m": args.m, "per_k": per_k, "total": total}
+    return json.dumps(payload) + "\n", EXIT_OK
 
 
-def cmd_pstar(args) -> int:
+def cmd_pstar(args) -> tuple[str, int]:
     # Before any work: the largest admissible p is a few tests from the top end.
     top = next((p for p in reversed(args.primes) if admissible(p)), None)
     if top is not None and top > args.max_p:
         raise TooLarge(f"p = {top} exceeds the exhaustive guard {args.max_p}")
     rows = [{"p": modulus.p, "pstar": pstar(modulus, args.ordering, args.max_p)}
             for modulus in map(admissible, args.primes) if modulus]
-    write_output(json.dumps(rows, indent=2) + "\n", args.out)
-    return EXIT_OK
+    return json.dumps(rows, indent=2) + "\n", EXIT_OK
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> tuple[str, int]:
     modulus = args.modulus
     complete_set = resolve_complete_set(args)
     if args.correlation and complete_set.m < 2:
@@ -392,8 +386,7 @@ def cmd_family(args) -> int:
         lo, hi, avg = analysis.family_correlation(boxes)
         payload["correlation"] = {"min": round(float(lo), 4), "max": round(float(hi), 4),
                                   "avg": round(float(avg), 4)}
-    write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n", EXIT_OK
 
 
 # --- entry point ----------------------------------------------------------------
@@ -467,7 +460,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             command_parser, config = args.config
             command_parser.set_defaults(**config)  # argparse runs type= on string defaults
             args = parser.parse_args(argv)
-        return args.func(args)
+        text, code = args.func(args)
+        write_output(text, args.out)
+        return code
     except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
         return exc.code
     except MecforgeError as exc:
