@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-sbox, gen-prn, analyze, count, pstar, family.
-stdout carries data, stderr carries diagnostics and provenance lines.
+stdout carries data, stderr carries diagnostics and provenance lines.  A
+closed stdin or stdout is an I/O failure (3); a closed or full stderr loses
+only the diagnostics.
 gen-sbox and gen-prn write hex, CSV or JSON (--format); analyze reads what
 they write and tells the three apart by shape; the others print JSON.
 Exit codes: 0 success, 2 invalid parameters, 3 I/O failure, 4 a metric was
@@ -83,6 +85,8 @@ def read_text(path: str) -> str:
     try:
         # undecodable bytes read as lone surrogates, which no reader accepts: exit 2
         if path == "-":
+            if sys.stdin is None:  # Python's stdin when descriptor 0 was closed at start
+                raise OSError("stdin is closed")
             return sys.stdin.read()
         with open(path, errors="surrogateescape") as f:
             return f.read()
@@ -90,20 +94,38 @@ def read_text(path: str) -> str:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
 
 
+def _write(stream, text: str) -> None:
+    """Write and flush a standard stream, or raise OSError.  Python sets a stream
+    whose descriptor was closed at start to None.  A stream that fails is pointed
+    at the null device: its buffer keeps the text, and the flush at interpreter
+    exit must not fail again (the Python docs' SIGPIPE recipe)."""
+    if stream is None:
+        raise OSError("it is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
 def write_output(text: str, out: str | None) -> None:
-    if out:
-        try:
+    try:
+        if out:
             with open(out, "w") as f:
                 f.write(text)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise IOFailure(f"cannot write {out}: {exc}") from exc
-    else:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:  # the buffer keeps the text: the exit flush writes it to /dev/null
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise IOFailure(f"cannot write stdout: {exc}") from exc
+        else:
+            _write(sys.stdout, text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise IOFailure(f"cannot write {out or 'stdout'}: {exc}") from exc
+
+
+def note(text: str) -> None:
+    """Diagnostics on stderr: a closed or full stderr loses them and nothing else."""
+    try:
+        _write(sys.stderr, text)
+    except OSError:
+        pass
 
 
 # --- S-box / sequence serialization ------------------------------------------
@@ -288,8 +310,7 @@ def cmd_gen_sbox(args) -> tuple[str, int]:
     complete_set = resolve_complete_set(args)
     curve = resolve_curve(args)
     sbox = sbox_direct(curve, args.ordering, complete_set, args.k)
-    print(f"sbox p={curve.p} b={curve.b} ordering={args.ordering.value} m={sbox.m} k={args.k}",
-          file=sys.stderr)
+    note(f"sbox p={curve.p} b={curve.b} ordering={args.ordering.value} m={sbox.m} k={args.k}\n")
     return format_sbox(sbox, args.format), EXIT_OK
 
 
@@ -302,9 +323,8 @@ def cmd_gen_prn(args) -> tuple[str, int]:
     else:
         y_set = parse_integer_tokens(read_text(args.A))
     seq = sprn(curve, args.ordering, y_set, args.m, args.k)
-    print(f"prn p={curve.p} b={curve.b} ordering={args.ordering.value} "
-          f"|A|={len(seq.values)} m={seq.m} k={args.k} entropy={analysis.entropy(seq):.4f}",
-          file=sys.stderr)
+    note(f"prn p={curve.p} b={curve.b} ordering={args.ordering.value} "
+         f"|A|={len(seq.values)} m={seq.m} k={args.k} entropy={analysis.entropy(seq):.4f}\n")
     return format_sequence(seq, args.format), EXIT_OK
 
 
@@ -460,13 +480,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             command_parser, config = args.config
             command_parser.set_defaults(**config)  # argparse runs type= on string defaults
             args = parser.parse_args(argv)
-        text, code = args.func(args)
+        text, code = args.func(args)  # each command returns its stdout text; only main writes it
         write_output(text, args.out)
         return code
     except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
+        note("")  # argparse ignores a failed write, but a full stderr's buffer keeps the text
         return exc.code
     except MecforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        note(f"error: {exc}\n")
         return exc.exit_code
 
 

@@ -103,6 +103,11 @@ def _check_shift(k: int, m: int) -> None:
         raise MecforgeError(f"shift k = {k} must lie in [0, m-1]")
 
 
+def _check_same_p(complete_set: CompleteSet, p: int) -> None:
+    if complete_set.modulus.p != p:
+        raise MecforgeError(f"the complete set is over p = {complete_set.modulus.p}, not p = {p}")
+
+
 def _shift_reduce(ordered: list[int], m: int, k: int) -> tuple[int, ...]:
     """Curve-ordered ys rotated left by k < |ys| and reduced mod m: entry i is
     the ((i + k) mod |ys|)-th ordered y."""
@@ -122,9 +127,11 @@ def _sbox(p: int, b: int, kind: Ordering, m: int, k: int, table: tuple[int, ...]
 
 def sbox_direct(curve: MordellCurve, kind: Ordering, complete_set: CompleteSet, k: int) -> SBox:
     """S-box from the ordered complete set on the target curve itself: each
-    residue takes its element's curve position, and the table is shifted by k."""
+    residue takes its element's curve position, and the table is shifted by k.
+    A complete set over another p is refused, after the shift."""
     m = complete_set.m
     _check_shift(k, m)
+    _check_same_p(complete_set, curve.p)
     table = _shift_reduce(rank_of_y(kind, curve, complete_set.elements), m, k)
     return _sbox(curve.p, curve.b, kind, m, k, table)
 
@@ -245,8 +252,9 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
                      b_values: Iterable[int]) -> FamilyResult:
     """One S-box per curve E_{p, b}, b in ``b_values``, in that order.
 
-    A shift k outside [0, m-1] and a b outside [1, p-1] are refused, the b
-    with `MordellCurve`'s message, before the pass.
+    A shift k outside [0, m-1], then a complete set over another p and a b
+    outside [1, p-1] are refused, the b with `MordellCurve`'s message, before
+    the pass.
     One pass over F_p x Y orders the complete set on every curve of p at
     once and reduces it mod m; each row becomes its curve's S-box, rotated
     by k, where it lies, so the rows are freed as the S-boxes are built.
@@ -255,6 +263,7 @@ def enumerate_family(modulus: PrimeModulus, kind: Ordering, complete_set: Comple
     """
     _check_shift(k, complete_set.m)
     p, m = modulus.p, complete_set.m
+    _check_same_p(complete_set, p)
     b_values = list(b_values)
     for b in b_values:
         _check_b(b, p)

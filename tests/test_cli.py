@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import functools
 import gc
 import io
 import json
@@ -666,20 +667,69 @@ def test_unwritable_stdout_exits_3(argv, tmp_path):
     assert err.getvalue().splitlines()[-1] == STDOUT_FULL
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT, ids=["count", "gen-prn"])
-def test_stdout_on_dev_full_exits_3(argv):
-    """The whole process, with stdout block-buffered as in a default
-    environment: the output fits the buffer, so the first write fails only
-    at the explicit flush, and the exit flush must not fail again."""
+# --- closed or full standard streams, in a whole process ------------------------
+
+GEN_SBOX = ["gen-sbox", "--p", "11", "--b", "1", "--ordering", "natural", "--set", "natural",
+            "--m", "11", "--format", "csv"]
+STREAM_COMMANDS = {  # name: (argv, exit code of a normal run)
+    "gen-sbox": (GEN_SBOX, EXIT_OK),
+    "gen-prn": (UNWRITABLE_STDOUT[1], EXIT_OK),
+    "analyze": (["analyze", "-"], EXIT_UNSUPPORTED_METRIC),  # SAMPLE on stdin: m = 11
+    "count": (UNWRITABLE_STDOUT[0], EXIT_OK),
+    "gen-sbox-b99": ([*GEN_SBOX[:3], "--b", "99", *GEN_SBOX[5:]], EXIT_BAD_PARAMS),
+    "count-bad-p": (["count", "--p", "x", "--m", "3"], EXIT_BAD_PARAMS),  # argparse's own error
+}
+# each state is a shell redirection of one of the process's descriptors
+STREAM_STATES = {"stdin-closed": "<&-", "stdout-closed": ">&-", "stdout-full": ">/dev/full",
+                 "stderr-closed": "2>&-", "stderr-full": "2>/dev/full"}
+STREAM_CASES = [(command, state) for command in ("gen-sbox", "gen-prn", "analyze", "count")
+                for state in STREAM_STATES]
+STREAM_CASES += [("gen-sbox-b99", "stderr-closed"), ("gen-sbox-b99", "stderr-full"),
+                 ("count-bad-p", "stderr-full")]
+STREAM_FAILURES = {"stdout-closed": "error: cannot write stdout: it is closed",
+                   "stdout-full": STDOUT_FULL}
+
+
+@pytest.fixture(scope="module")
+def run_with(tmp_path_factory):
+    """`run_with(command, redirect)`: `python -m mecforge.cli` under that shell
+    redirection, stdout block-buffered as in a default environment, stdin a
+    file of SAMPLE, stdout and stderr captured where not redirected."""
+    sample = tmp_path_factory.mktemp("streams") / "sample.csv"
+    sample.write_text(format_sbox(SAMPLE, "csv"))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
-    with open("/dev/full", "w") as full:
-        done = subprocess.run([sys.executable, "-m", "mecforge.cli", *argv], env=env,
-                              stdout=full, stderr=subprocess.PIPE, text=True)
-    assert done.returncode == EXIT_IO
-    errors = [line for line in done.stderr.splitlines() if not line.startswith("prn ")]
-    assert errors == [STDOUT_FULL]
+
+    @functools.cache
+    def run_with(command, redirect):
+        argv = [sys.executable, "-m", "mecforge.cli", *STREAM_COMMANDS[command][0]]
+        with open(sample) as stdin:
+            return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *argv], env=env,
+                                  stdin=stdin, capture_output=True, text=True)
+    return run_with
+
+
+@pytest.mark.parametrize("command, state", STREAM_CASES,
+                         ids=[f"{command}-{state}" for command, state in STREAM_CASES])
+def test_standard_streams(run_with, command, state):
+    """A closed stdin or stdout, or a full stdout, is an I/O failure (3) with
+    one error line after any provenance line; the exit flush must not fail
+    again.  A closed or full stderr loses its lines and nothing else: stdout
+    and the exit code are a normal run's.  No state gives a traceback."""
+    if state.endswith("full") and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    normal, done = run_with(command, ""), run_with(command, STREAM_STATES[state])
+    assert normal.returncode == STREAM_COMMANDS[command][1]
+    assert "Traceback" not in done.stderr
+    failure = STREAM_FAILURES.get(state)
+    if (command, state) == ("analyze", "stdin-closed"):
+        failure = "error: cannot read -: stdin is closed"
+    if failure:
+        assert (done.returncode, done.stdout) == (EXIT_IO, "")
+        assert done.stderr == normal.stderr + failure + "\n"
+    else:
+        assert (done.returncode, done.stdout) == (normal.returncode, normal.stdout)
+        assert done.stderr == ("" if state.startswith("stderr") else normal.stderr)
 
 
 # --- any flag values: an exit code of the contract, never a traceback -----------

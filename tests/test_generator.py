@@ -481,6 +481,32 @@ def test_family_refuses_a_bad_shift_once(mod11):
         enumerate_family(mod11, Ordering.NATURAL, cs, 11, b_values=range(1, 11))
 
 
+def test_a_complete_set_over_another_p_is_refused(monkeypatch, mod11):
+    """A set is checked against its own modulus only, so its p must be the
+    curve's or family's: its elements may lie outside F_p, and its residues
+    need not stay distinct there.  The shift is still checked first."""
+    mod47, mod53 = PrimeModulus(47), PrimeModulus(53)
+    high = CompleteSet.validate(range(40, 53), 13, mod53)  # elements >= 47 and >= 11
+    message = r"the complete set is over p = 53, not p = (11|47)"
+    with pytest.raises(MecforgeError, match=message):
+        sbox_direct(MordellCurve(mod47, 1), Ordering.NATURAL, high, 0)
+    with pytest.raises(MecforgeError, match=message):
+        sbox_direct(MordellCurve(mod11, 1), Ordering.DIFFUSION, CompleteSet.natural(53, mod53), 0)
+    with pytest.raises(MecforgeError, match=message):
+        sbox_iso(MordellCurve(mod47, 1), 2, Ordering.MODULO, high, 0)
+    with pytest.raises(MecforgeError, match=r"shift k = 13 must lie in \[0, m-1\]"):
+        sbox_direct(MordellCurve(mod47, 1), Ordering.NATURAL, high, 13)
+
+    def refuse(modulus, kind, ys, m):
+        raise AssertionError("a pass over F_p x Y was taken")
+    monkeypatch.setattr(generator, "_curve_orders", refuse)
+    for cs in (CompleteSet.validate([40, 41, 42, 43], 4, mod53), high):
+        with pytest.raises(MecforgeError, match=message):
+            enumerate_family(mod11, Ordering.DIFFUSION, cs, 0, range(1, 11))
+    with pytest.raises(MecforgeError, match=r"shift k = 13 must lie in \[0, m-1\]"):
+        enumerate_family(mod11, Ordering.NATURAL, high, 13, range(1, 11))
+
+
 def test_family_over_t_covers_all_curves(mod11):
     """The representatives of both classes and t in [1, (p-1)/2] reach every curve."""
     cs = CompleteSet.natural(11, mod11)
