@@ -2,8 +2,8 @@
 
 `analyze_sbox` reports the S-box metrics together: nonlinearity, linear and
 differential approximation probability, algebraic complexity and the ranges
-of the avalanche and bit-independence matrices.  They require the table size
-to be a power of two; probabilities are exact fractions.
+of the avalanche and bit-independence matrices.  A metric that does not apply
+to the table size is None; probabilities are exact fractions.
 Sequence tests (histogram, entropy, period) apply to any finite sequence.
 """
 
@@ -24,11 +24,10 @@ from .record import Record
 MAX_ANALYZE_BITS = 12
 
 
-def _nbits(sbox: SBox) -> int:
+def _nbits(sbox: SBox) -> int | None:
+    """log2 of the S-box's size, or None unless that is a power of two >= 2."""
     n = (sbox.m - 1).bit_length()
-    if sbox.m < 2 or sbox.m != 1 << n:
-        raise NotPowerOfTwo(f"S-box size {sbox.m} is not a power of two")
-    return n
+    return n if sbox.m == 1 << n > 1 else None
 
 
 # The S-box metrics work on bit-sliced truth tables: a Boolean function on
@@ -96,6 +95,8 @@ def _bic_range(derivatives: list[list[int]]) -> tuple[Fraction | None, Fraction 
 def dap(sbox: SBox) -> Fraction:
     """Largest differential propagation probability over non-zero input differences."""
     n = _nbits(sbox)
+    if n is None:
+        raise NotPowerOfTwo(f"S-box size {sbox.m} is not a power of two")
     size = sbox.m
     table = sbox.table
     best = 0
@@ -146,37 +147,41 @@ class AnalysisReport(Record):
     __slots__ = ("nl", "lap", "dap", "ac", "sac_min", "sac_max", "bic_min", "bic_max",
                  "fixed_points")
 
-    def __init__(self, nl: int, lap: Fraction, dap: Fraction, ac: int | None,
-                 sac_min: Fraction, sac_max: Fraction, bic_min: Fraction | None,
-                 bic_max: Fraction | None, fixed_points: int):
+    def __init__(self, nl: int | None, lap: Fraction | None, dap: Fraction | None,
+                 ac: int | None, sac_min: Fraction | None, sac_max: Fraction | None,
+                 bic_min: Fraction | None, bic_max: Fraction | None, fixed_points: int):
         super().__init__(nl, lap, dap, ac, sac_min, sac_max, bic_min, bic_max, fixed_points)
 
     def to_json(self, indent: int | None = None) -> str:
+        """The report as JSON, with "n/a" for each metric that does not apply."""
         def frac(f: Fraction) -> dict:
             return {"num": f.numerator, "den": f.denominator, "approx": round(float(f), 4)}
 
         payload = {
             "nl": self.nl,
-            "lap": frac(self.lap),
-            "dap": frac(self.dap),
-            "ac": self.ac if self.ac is not None else "n/a",
-            "sac": {"min": frac(self.sac_min), "max": frac(self.sac_max)},
-            "bic": ({"min": frac(self.bic_min), "max": frac(self.bic_max)}
-                    if self.bic_min is not None else "n/a"),
+            "lap": self.lap,
+            "dap": self.dap,
+            "ac": self.ac,
+            "sac": None if self.sac_min is None else {"min": self.sac_min, "max": self.sac_max},
+            "bic": None if self.bic_min is None else {"min": self.bic_min, "max": self.bic_max},
             "fixed_points": self.fixed_points,
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps({k: "n/a" if v is None else v for k, v in payload.items()},
+                          indent=indent, default=frac)
 
 
 def analyze_sbox(sbox: SBox) -> AnalysisReport:
-    """Full metric battery; AC is reported as None for sizes other than 256,
-    and the BIC range as None for 2-entry S-boxes, which have one output bit.
-    An S-box of more than 2**MAX_ANALYZE_BITS entries is refused as TooLarge.
+    """Full metric battery.  Unless the size m is a power of two >= 2, every
+    metric but the fixed points is None; AC is None for m != 256 and the BIC
+    range for m = 2, which has one output bit.  A power of two above
+    2**MAX_ANALYZE_BITS is refused as TooLarge.
 
     The bit planes, the Walsh spectrum's maximum and the derivative table are
     each built once and shared by the metrics that read them.
     """
     n = _nbits(sbox)
+    if n is None:
+        return AnalysisReport(*(None,) * 8, fixed_points(sbox))
     if n > MAX_ANALYZE_BITS:
         raise TooLarge(f"S-box size {sbox.m} too large to analyze "
                        f"(at most {1 << MAX_ANALYZE_BITS})")

@@ -111,13 +111,13 @@ def _write(stream, text: str) -> None:
 
 def write_output(text: str, out: str | None) -> None:
     try:
-        if out:
+        if out is None:
+            _write(sys.stdout, text)
+        else:  # an empty path too, which open() refuses
             with open(out, "w") as f:
                 f.write(text)
-        else:
-            _write(sys.stdout, text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise IOFailure(f"cannot write {out or 'stdout'}: {exc}") from exc
+        raise IOFailure(f"cannot write {'stdout' if out is None else out}: {exc}") from exc
 
 
 def note(text: str) -> None:
@@ -346,18 +346,9 @@ def cmd_analyze(args) -> tuple[str, int]:
             "histogram": {str(k): v for k, v in sorted(hist.frequencies.items())},
         }
         return json.dumps(payload, indent=2) + "\n", EXIT_OK
-    try:
-        report = analysis.analyze_sbox(sbox)
-        body = report.to_json(indent=2)
-        unsupported = report.ac is None
-    except NotPowerOfTwo:
-        body = json.dumps({
-            "nl": "n/a", "lap": "n/a", "dap": "n/a", "ac": "n/a",
-            "sac": "n/a", "bic": "n/a",
-            "fixed_points": analysis.fixed_points(sbox),
-        }, indent=2)
-        unsupported = True
-    return body + "\n", EXIT_UNSUPPORTED_METRIC if unsupported else EXIT_OK
+    report = analysis.analyze_sbox(sbox)
+    return (report.to_json(indent=2) + "\n",
+            EXIT_UNSUPPORTED_METRIC if report.ac is None else EXIT_OK)
 
 
 def cmd_count(args) -> tuple[str, int]:
@@ -475,17 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            command_parser, config = args.config
-            command_parser.set_defaults(**config)  # argparse runs type= on string defaults
+        try:
             args = parser.parse_args(argv)
+            if getattr(args, "config", None):
+                command_parser, config = args.config
+                command_parser.set_defaults(**config)  # argparse runs type= on string defaults
+                args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
+            note("")  # argparse ignores a failed write, but a full stderr's buffer keeps the text
+            if exc.code:
+                return exc.code
+            write_output("", None)  # --help: argparse ignores a failed write to stdout
+            return EXIT_OK
         text, code = args.func(args)  # each command returns its stdout text; only main writes it
         write_output(text, args.out)
         return code
-    except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
-        note("")  # argparse ignores a failed write, but a full stderr's buffer keeps the text
-        return exc.code
     except MecforgeError as exc:
         note(f"error: {exc}\n")
         return exc.exit_code

@@ -19,8 +19,9 @@ class TooLarge(MecforgeError):
 
 
 class NotPowerOfTwo(MecforgeError):
-    """A metric requires an S-box whose size is a power of two; `analyze`
-    reports such metrics as n/a."""
+    """A metric was asked of an S-box whose size is not a power of two >= 2:
+    `analysis.dap` raises it.  `analyze_sbox` reports such a metric as None,
+    and `analyze` exits with this code when its report has one."""
 
     exit_code = 4
 
